@@ -265,19 +265,10 @@ func benchEnvelope() *wire.Envelope {
 	}
 }
 
-// BenchmarkWireMarshal measures encoding of a 32-read prepare message under
-// both wire codecs: one-shot gob (the oracle) and the appending binary
-// encoder (the default).
+// BenchmarkWireMarshal measures encoding of a 32-read prepare message with
+// the appending binary encoder.
 func BenchmarkWireMarshal(b *testing.B) {
 	env := benchEnvelope()
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.Marshal(env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("binary", func(b *testing.B) {
 		var buf []byte
 		var err error
@@ -294,7 +285,7 @@ func BenchmarkWireMarshal(b *testing.B) {
 // paper compresses piggybacked stats to bound their cost).
 func BenchmarkFrame(b *testing.B) {
 	env := benchEnvelope()
-	payload, err := wire.Marshal(env)
+	payload, err := wire.AppendEnvelope(nil, env)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,9 +296,9 @@ func BenchmarkFrame(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
-			buf := make(discard, 0)
+			enc := wire.NewBinaryEncoder(new(discard), compress)
 			for i := 0; i < b.N; i++ {
-				if err := wire.WriteFrame(&buf, payload, compress); err != nil {
+				if err := enc.Encode(env); err != nil {
 					b.Fatal(err)
 				}
 			}

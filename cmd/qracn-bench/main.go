@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"qracn/internal/harness"
-	"qracn/internal/wal"
 	"qracn/internal/wire"
 )
 
@@ -46,8 +45,6 @@ func main() {
 		fsyncEvery = flag.Duration("fsync-interval", 0, "group-commit accumulation window (0: 2ms default; negative: fsync every append)")
 		snapEvery  = flag.Int("snapshot-every", 0, "checkpoint the store every N logged records (0: default; negative: never)")
 		walAB      = flag.Bool("wal-ab", false, "run each figure twice — WAL on and off — and emit a combined JSON A/B document")
-		codecName  = flag.String("codec", wire.DefaultCodec.Name(), "serialize simulated-network messages and WAL records with this codec: binary or gob")
-		codecAB    = flag.Bool("codec-ab", false, "run each figure twice — binary codec vs gob — and emit a combined JSON A/B document with read-stage p50s and the speedup ratio")
 		stages     = flag.Bool("stages", false, "print per-stage latency percentiles (read, prefetch, prepare, commit, fsync wait) after each summary")
 		traceCap   = flag.Int("trace-capacity", 0, "span/event ring size per node and client; >0 turns tracing on")
 		traceRate  = flag.Int("trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: events only)")
@@ -69,17 +66,6 @@ func main() {
 		*jsonOut = true
 	}
 
-	codec, err := wire.CodecByName(*codecName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	walFormat, err := wal.FormatByName(*codecName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	scale := harness.Scale{
 		IntervalLength:   *interval,
 		Clients:          *clients,
@@ -94,8 +80,7 @@ func main() {
 		SnapshotEvery:    *snapEvery,
 		TraceCapacity:    *traceCap,
 		TraceSample:      *traceRate,
-		Codec:            codec,
-		WALFormat:        walFormat,
+		Codec:            wire.Binary,
 		DecideTimeout:    *decideTO,
 		ResolveAfter:     *resolveAft,
 		Shards:           *shards,
@@ -158,18 +143,6 @@ func main() {
 			doc, err := runWALAB(ctx, f, scale, modes, *repeat)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "figure %s wal A/B: %v\n", f.ID, err)
-				os.Exit(1)
-			}
-			jsonDocs = append(jsonDocs, doc)
-			if *jsonFile == "" {
-				fmt.Println(string(doc))
-			}
-			continue
-		}
-		if *codecAB {
-			doc, err := runCodecAB(ctx, f, scale, modes, *repeat)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figure %s codec A/B: %v\n", f.ID, err)
 				os.Exit(1)
 			}
 			jsonDocs = append(jsonDocs, doc)
@@ -313,73 +286,6 @@ func runWALAB(ctx context.Context, f harness.Figure, scale harness.Scale, modes 
 			entry.Ratio = entry.On / entry.Off
 		}
 		doc.Throughput[m.String()] = entry
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// runCodecAB measures the serialization cost: the same figure, same seeds,
-// once with the binary wire codec and once with gob — both through the
-// channel network's real encode/decode path and the matching WAL record
-// format — combined into one JSON document. The headline is the read-stage
-// p50 (the marshaling-dominated quorum-read round trip) and the
-// gob-over-binary speedup ratio per mode.
-func runCodecAB(ctx context.Context, f harness.Figure, scale harness.Scale, modes []harness.Mode, repeat int) (json.RawMessage, error) {
-	bin := scale
-	bin.Codec = wire.Binary
-	bin.WALFormat = wal.FormatBinary
-	// Disable the simulated interconnect delay for both sides: a fixed 60µs
-	// per hop would swamp the marshaling difference the A/B isolates.
-	bin.NetLatency = -1
-	bin.NetJitter = -1
-	gob := bin
-	gob.Codec = wire.Gob
-	gob.WALFormat = wal.FormatGob
-
-	resBin, err := runAveraged(ctx, f, bin, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("binary codec: %w", err)
-	}
-	resGob, err := runAveraged(ctx, f, gob, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("gob codec: %w", err)
-	}
-	jsBin, err := resBin.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	jsGob, err := resGob.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	type entry struct {
-		BinaryReadP50Micros  float64 `json:"binary_read_p50_us"`
-		GobReadP50Micros     float64 `json:"gob_read_p50_us"`
-		ReadP50GobOverBinary float64 `json:"read_p50_gob_over_binary"`
-		BinaryTxPerSec       float64 `json:"binary_tx_per_s"`
-		GobTxPerSec          float64 `json:"gob_tx_per_s"`
-	}
-	doc := struct {
-		Figure    string           `json:"figure"`
-		Title     string           `json:"title"`
-		Binary    json.RawMessage  `json:"binary"`
-		Gob       json.RawMessage  `json:"gob"`
-		ReadStage map[string]entry `json:"read_stage"`
-	}{Figure: f.ID, Title: f.Title, Binary: jsBin, Gob: jsGob, ReadStage: map[string]entry{}}
-	for _, m := range modes {
-		sBin, sGob := resBin.Series[m], resGob.Series[m]
-		if sBin == nil || sGob == nil {
-			continue
-		}
-		e := entry{
-			BinaryReadP50Micros: float64(sBin.Stages.Read.P50) / 1e3,
-			GobReadP50Micros:    float64(sGob.Stages.Read.P50) / 1e3,
-			BinaryTxPerSec:      meanOf(sBin.Throughput),
-			GobTxPerSec:         meanOf(sGob.Throughput),
-		}
-		if e.BinaryReadP50Micros > 0 {
-			e.ReadP50GobOverBinary = e.GobReadP50Micros / e.BinaryReadP50Micros
-		}
-		doc.ReadStage[m.String()] = e
 	}
 	return json.MarshalIndent(doc, "", "  ")
 }

@@ -47,7 +47,7 @@ func TestWalSubcommandCleanLog(t *testing.T) {
 		t.Fatalf("exit %d on a clean log\n%s", code, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"5 records (5 binary), crc ok", "acct/0", "acct/1", "max committed version"} {
+	for _, want := range []string{"5 records, crc ok", "acct/0", "acct/1", "max committed version"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
@@ -90,18 +90,18 @@ func TestWalSubcommandMissingPath(t *testing.T) {
 	}
 }
 
-// TestWalSubcommandReportsMixedFormats writes segments in both record
-// encodings into one directory (the mid-rollout state) and checks the
-// inspector labels each segment with its format.
+// TestWalSubcommandReportsMixedFormats writes two segments from two opens
+// of one directory (the shape a restarted node leaves) and checks the
+// inspector reports each segment and every record in it.
 func TestWalSubcommandReportsMixedFormats(t *testing.T) {
 	dir := t.TempDir()
-	for _, format := range []wal.Format{wal.FormatGob, wal.FormatBinary} {
-		log, _, err := wal.Open(dir, wal.Options{FsyncInterval: -1, Format: format})
+	for _, tx := range []string{"tx-first", "tx-second"} {
+		log, _, err := wal.Open(dir, wal.Options{FsyncInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := log.Append(wal.Record{
-			TxID: "tx-" + format.String(), Key: store.ID("acct", 0),
+			TxID: tx, Key: store.ID("acct", 0),
 			Version: 1, Value: store.Int64(1),
 		}); err != nil {
 			t.Fatal(err)
@@ -113,10 +113,33 @@ func TestWalSubcommandReportsMixedFormats(t *testing.T) {
 
 	var out strings.Builder
 	if code := walMain([]string{"-records", dir}, &out); code != 0 {
-		t.Fatalf("exit %d on a clean mixed-format log\n%s", code, out.String())
+		t.Fatalf("exit %d on a clean two-segment log\n%s", code, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"(1 gob)", "(1 binary)", "[gob] tx=tx-gob", "[binary] tx=tx-binary"} {
+	for _, want := range []string{
+		"wal-00000001.log: 1 records, crc ok", "wal-00000002.log: 1 records, crc ok",
+		"tx=tx-first", "tx=tx-second",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("output missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestWalSubcommandRefusesGobEra points the inspector at a directory
+// written in the retired gob format: it must exit non-zero, name the format
+// for both the snapshot and the segment, and change nothing.
+func TestWalSubcommandRefusesGobEra(t *testing.T) {
+	const dir = "../../internal/wal/testdata/gob-era"
+	var out strings.Builder
+	if code := walMain([]string{dir}, &out); code == 0 {
+		t.Fatalf("exit 0 on a gob-era directory\n%s", out.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"snap-00000002.db: GOB-ERA FORMAT",
+		"wal-00000002.log: 0 records, GOB-ERA FORMAT at offset 0",
+	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
@@ -199,8 +222,8 @@ func TestWalSubcommandShardedParent(t *testing.T) {
 		"shard-0/node-0:",
 		"shard-0/node-1:",
 		"shard-1/node-2:",
-		"shard-0: 2 nodes, 10 records (10 binary), 0 in doubt",
-		"shard-1: 1 nodes, 1 records (1 binary), 1 in doubt",
+		"shard-0: 2 nodes, 10 records, 0 in doubt",
+		"shard-1: 1 nodes, 1 records, 1 in doubt",
 		"stranded-tx",
 	} {
 		if !strings.Contains(got, want) {

@@ -58,9 +58,6 @@ type Config struct {
 	// SnapshotEvery is the automatic checkpoint threshold in records
 	// (0: server default; negative: only explicit checkpoints).
 	SnapshotEvery int
-	// WALFormat selects the commit-log record encoding (default binary).
-	// The wire codec for the simulated interconnect is Network.Codec.
-	WALFormat wal.Format
 	// TraceCapacity, when positive, gives every node a tracer ring of that
 	// many events and spans, so traced transactions get server-side serve
 	// spans and Cluster.Spans can reassemble cross-node timelines.
@@ -174,7 +171,7 @@ func (c *Cluster) buildNode(id quorum.NodeID) (*server.Node, error) {
 			// shard's durable state in isolation.
 			dir = filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", c.Shards.HomeOf(id)), fmt.Sprintf("node-%d", id))
 		}
-		log, r, err := wal.Open(dir, wal.Options{FsyncInterval: cfg.FsyncInterval, Format: cfg.WALFormat})
+		log, r, err := wal.Open(dir, wal.Options{FsyncInterval: cfg.FsyncInterval})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d wal: %w", id, err)
 		}

@@ -1,8 +1,12 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -12,6 +16,7 @@ import (
 	"qracn/internal/quorum"
 	"qracn/internal/store"
 	"qracn/internal/transport"
+	"qracn/internal/wal"
 )
 
 // subTransfer is the bank transfer decomposed into two sub-transactions
@@ -278,4 +283,55 @@ func TestTCPRecoveringNodeHandshake(t *testing.T) {
 		t.Fatalf("transfer after recovery finished: %v", err)
 	}
 	t.Logf("handshake: %d failovers while node %d recovering, never suspected", m.Failovers, victim)
+}
+
+// TestNewDurableRefusesGobEraWAL: a node whose WAL directory was written in
+// the retired gob format must stop the cluster from starting with
+// wal.LegacyFormatError, not come up with the directory's commits dropped,
+// and must leave every byte of the directory in place.
+func TestNewDurableRefusesGobEraWAL(t *testing.T) {
+	const src = "../wal/testdata/gob-era"
+	root := t.TempDir()
+	dir := filepath.Join(root, "node-0")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want[e.Name()] = b
+	}
+
+	c, err := cluster.NewDurable(cluster.Config{Servers: 4, WALDir: root})
+	if err == nil {
+		c.Close()
+		t.Fatal("NewDurable started on a gob-era WAL")
+	}
+	var legacy *wal.LegacyFormatError
+	if !errors.As(err, &legacy) {
+		t.Fatalf("NewDurable err = %v, want wal.LegacyFormatError", err)
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(want) {
+		t.Fatalf("node-0 holds %d files after the refused start, want %d", len(after), len(want))
+	}
+	for name, b := range want {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("%s changed by the refused start (err %v)", name, err)
+		}
+	}
 }

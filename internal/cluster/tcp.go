@@ -13,7 +13,6 @@ import (
 	"qracn/internal/store"
 	"qracn/internal/transport"
 	"qracn/internal/wal"
-	"qracn/internal/wire"
 )
 
 // TCPConfig sizes a loopback TCP deployment.
@@ -46,12 +45,6 @@ type TCPConfig struct {
 	// SnapshotEvery is the automatic checkpoint threshold in records
 	// (0: server default; negative: only explicit checkpoints).
 	SnapshotEvery int
-	// Codec selects the wire codec client runtimes dial with (nil:
-	// wire.DefaultCodec). Servers negotiate per connection, so clusters can
-	// mix clients on different codecs.
-	Codec wire.Codec
-	// WALFormat selects the commit-log record encoding (default binary).
-	WALFormat wal.Format
 	// ResolveAfter is how long a participant's yes vote may sit undecided
 	// before it queries its quorum peers for the outcome (0: server
 	// default 5s).
@@ -91,8 +84,6 @@ type TCPCluster struct {
 	walDir        string
 	fsyncInterval time.Duration
 	snapshotEvery int
-	codec         wire.Codec
-	walFormat     wal.Format
 	resolveAfter  time.Duration
 	ttlAbortAfter time.Duration
 	maxInflight   int
@@ -153,8 +144,6 @@ func NewTCP(cfg TCPConfig) (*TCPCluster, error) {
 		walDir:        cfg.WALDir,
 		fsyncInterval: cfg.FsyncInterval,
 		snapshotEvery: cfg.SnapshotEvery,
-		codec:         cfg.Codec,
-		walFormat:     cfg.WALFormat,
 		resolveAfter:  cfg.ResolveAfter,
 		ttlAbortAfter: cfg.TTLAbortAfter,
 		maxInflight:   cfg.MaxInflight,
@@ -170,7 +159,7 @@ func NewTCP(cfg TCPConfig) (*TCPCluster, error) {
 		if c.Durable() {
 			var rec *wal.Recovered
 			var err error
-			log, rec, err = wal.Open(c.nodeWALDir(id), wal.Options{FsyncInterval: cfg.FsyncInterval, Format: cfg.WALFormat})
+			log, rec, err = wal.Open(c.nodeWALDir(id), wal.Options{FsyncInterval: cfg.FsyncInterval})
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("cluster: node %d wal: %w", i, err)
@@ -231,9 +220,6 @@ func (c *TCPCluster) Seed(objs map[store.ObjectID]store.Value) {
 // see dtm.ClampDecideTimeout). Safe for concurrent use.
 func (c *TCPCluster) Runtime(clientSeed int, cfg dtm.Config) *dtm.Runtime {
 	client := transport.NewTCPClient(c.Addrs(), c.compress)
-	if c.codec != nil {
-		client.SetCodec(c.codec)
-	}
 	c.mu.Lock()
 	c.clients = append(c.clients, client)
 	c.mu.Unlock()
@@ -278,9 +264,6 @@ func (c *TCPCluster) StartResolvers(pollEvery time.Duration) {
 
 func (c *TCPCluster) startNodeResolver(n *server.Node) {
 	client := transport.NewTCPClient(c.Addrs(), c.compress)
-	if c.codec != nil {
-		client.SetCodec(c.codec)
-	}
 	c.mu.Lock()
 	c.clients = append(c.clients, client)
 	poll := c.resolverPoll
@@ -337,7 +320,7 @@ func (c *TCPCluster) Restart(id quorum.NodeID, cold bool) error {
 		if err != nil {
 			return fmt.Errorf("cluster: restart node %d: %w", id, err)
 		}
-		log, rec, err := wal.Open(c.nodeWALDir(id), wal.Options{FsyncInterval: c.fsyncInterval, Format: c.walFormat})
+		log, rec, err := wal.Open(c.nodeWALDir(id), wal.Options{FsyncInterval: c.fsyncInterval})
 		if err != nil {
 			srv.Close()
 			return fmt.Errorf("cluster: restart node %d wal: %w", id, err)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"qracn/internal/wal"
 	"qracn/internal/wire"
 	"qracn/internal/workload/bank"
 	"qracn/internal/workload/tpcc"
@@ -30,10 +29,8 @@ type Scale struct {
 	TraceCapacity    int
 	TraceSample      int
 	// Codec serializes every simulated-network message through this wire
-	// codec (nil: deep copy, no marshaling); WALFormat picks the commit-log
-	// record encoding on durable runs.
-	Codec     wire.Codec
-	WALFormat wal.Format
+	// codec (nil: deep copy, no marshaling).
+	Codec wire.Codec
 	// NetLatency/NetJitter override the simulated one-way interconnect
 	// delay (0: harness defaults; negative: no simulated latency at all, so
 	// stage latencies isolate protocol and marshaling cost).
@@ -89,7 +86,6 @@ func (s Scale) apply(o Options) Options {
 	o.TraceCapacity = s.TraceCapacity
 	o.TraceSample = s.TraceSample
 	o.Codec = s.Codec
-	o.WALFormat = s.WALFormat
 	o.NetLatency = s.NetLatency
 	o.NetJitter = s.NetJitter
 	o.DecideTimeout = s.DecideTimeout

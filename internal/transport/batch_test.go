@@ -205,6 +205,12 @@ func TestTCPRetryCountingOnReconnect(t *testing.T) {
 		t.Fatalf("retries after clean call = %d", cli.Retries())
 	}
 	srv.Close()
+	// Call while nothing listens: a call made only after the restart races
+	// the client noticing the closed connection, and a client that has
+	// noticed dials the new server at its first attempt, counting no retry.
+	if _, err := cli.Call(context.Background(), 0, &wire.Request{Kind: wire.KindPing}); err == nil {
+		t.Fatal("call succeeded with the server down")
+	}
 
 	srv2 := NewTCPServer(echoHandler, false)
 	if _, err := srv2.Listen(addr); err != nil {

@@ -25,9 +25,8 @@ type ChannelConfig struct {
 	// Codec, when set, crosses the node boundary through a real wire codec
 	// stream instead of the Clone deep copy: every request and response is
 	// encoded and decoded through a persistent per-destination pipe, exactly
-	// the serialization a TCP connection performs (gob amortizes its type
-	// metadata the same way). This is what makes in-process codec A/B
-	// benchmarks measure true marshaling cost. nil keeps Clone.
+	// the serialization a TCP connection performs. This is what makes
+	// in-process benchmarks measure true marshaling cost. nil keeps Clone.
 	Codec wire.Codec
 }
 

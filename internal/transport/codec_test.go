@@ -1,11 +1,21 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"log"
+	"net"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"qracn/internal/quorum"
 	"qracn/internal/store"
@@ -13,10 +23,10 @@ import (
 )
 
 // TestTCPEveryCodec drives a full round trip over a real TCP connection with
-// each registered codec, checking the server sniffs the client's choice and
+// each built-in codec, checking the server sniffs the client's preamble and
 // the payload survives intact.
 func TestTCPEveryCodec(t *testing.T) {
-	for _, codec := range wire.Codecs() {
+	for _, codec := range []wire.Codec{wire.Binary} {
 		t.Run(codec.Name(), func(t *testing.T) {
 			cli, stop := startTCPPair(t, func(_ context.Context, req *wire.Request) *wire.Response {
 				return &wire.Response{
@@ -26,7 +36,6 @@ func TestTCPEveryCodec(t *testing.T) {
 				}
 			})
 			defer stop()
-			cli.SetCodec(codec)
 			resp, err := cli.Call(context.Background(), 0, &wire.Request{
 				Kind: wire.KindRead, TxID: "codec-" + codec.Name(),
 				Read: &wire.ReadRequest{Object: store.ID("acct", 1)},
@@ -41,43 +50,78 @@ func TestTCPEveryCodec(t *testing.T) {
 	}
 }
 
-// TestTCPMixedCodecClients is the rollout scenario: one upgraded server,
-// clients speaking different codecs concurrently. Each connection negotiates
-// independently, so both must work at once.
-func TestTCPMixedCodecClients(t *testing.T) {
-	srv := NewTCPServer(echoHandler, false)
+// syncBuffer is a bytes.Buffer safe to write from the server's goroutines
+// while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestTCPRefusesGobEraPeer: a gob-era client sends no preamble, so its first
+// bytes are a gob frame (testdata/gob-era-ping.bin, a ping written by the
+// last release that spoke gob). The server must close such a connection —
+// and one that declares the retired gob codec id — before any handler runs,
+// log the reason, and keep serving binary clients.
+func TestTCPRefusesGobEraPeer(t *testing.T) {
+	gobFrame, err := os.ReadFile("testdata/gob-era-ping.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged syncBuffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	var calls atomic.Int64
+	srv := NewTCPServer(func(ctx context.Context, req *wire.Request) *wire.Response {
+		calls.Add(1)
+		return echoHandler(ctx, req)
+	}, false)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*20)
-	for _, codec := range wire.Codecs() {
-		cli := NewTCPClient(map[quorum.NodeID]string{0: addr}, false)
-		cli.SetCodec(codec)
-		defer cli.Close()
-		for i := 0; i < 20; i++ {
-			wg.Add(1)
-			go func(codec wire.Codec, i int) {
-				defer wg.Done()
-				txid := fmt.Sprintf("%s-%d", codec.Name(), i)
-				resp, err := cli.Call(context.Background(), 0, &wire.Request{Kind: wire.KindPing, TxID: txid})
-				if err != nil {
-					errs <- fmt.Errorf("%s call %d: %w", codec.Name(), i, err)
-					return
-				}
-				if resp.Detail != txid {
-					errs <- fmt.Errorf("%s call %d: echoed %q", codec.Name(), i, resp.Detail)
-				}
-			}(codec, i)
+	for _, first := range [][]byte{gobFrame, {0xC6, 1}} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(first); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// Closed with unread input, the socket may answer with a reset.
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+			t.Fatalf("stream %x...: read = (%d, %v), want the server to close the connection", first[:2], n, err)
+		}
+		conn.Close()
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d handler calls on refused connections, want 0", n)
+	}
+	for _, want := range []string{"not the binary preamble", "retired gob codec"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Fatalf("log lacks %q:\n%s", want, logged.String())
 		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+
+	cli := NewTCPClient(map[quorum.NodeID]string{0: addr}, false)
+	defer cli.Close()
+	if resp, err := cli.Call(context.Background(), 0, &wire.Request{Kind: wire.KindPing, TxID: "binary"}); err != nil || resp.Detail != "binary" {
+		t.Fatalf("binary client after refusals: resp %+v err %v", resp, err)
 	}
 }
 
@@ -97,7 +141,6 @@ func TestTCPBinaryCompressedPayload(t *testing.T) {
 		return &wire.Response{Status: wire.StatusOK, Sync: &wire.SyncResponse{Objects: req.Prepare.Writes}}
 	})
 	defer stop()
-	cli.SetCodec(wire.Binary)
 	resp, err := cli.Call(context.Background(), 0, &wire.Request{
 		Kind: wire.KindPrepare, TxID: "big",
 		Prepare: &wire.PrepareRequest{Writes: writes},
@@ -114,7 +157,7 @@ func TestTCPBinaryCompressedPayload(t *testing.T) {
 // Codec configured, messages cross the boundary via encode/decode instead of
 // Clone — mutation isolation still holds and payloads are preserved.
 func TestChannelCodecMode(t *testing.T) {
-	for _, codec := range wire.Codecs() {
+	for _, codec := range []wire.Codec{wire.Binary} {
 		t.Run(codec.Name(), func(t *testing.T) {
 			var got *wire.Request
 			n := NewChannelNetwork(ChannelConfig{Codec: codec})

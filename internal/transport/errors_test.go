@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func TestStreamFailKind(t *testing.T) {
 		{io.EOF, ErrKindConnLost},
 		{io.ErrUnexpectedEOF, ErrKindConnLost},
 		{context.DeadlineExceeded, ErrKindConnLost},
-		{errors.New("gob: unknown type id"), ErrKindDecode},
+		{fmt.Errorf("%w: crc mismatch", wire.ErrBadFrame), ErrKindDecode},
 	}
 	for _, tc := range cases {
 		if got := streamFailKind(tc.err); got != tc.want {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,16 +16,15 @@ import (
 	"qracn/internal/wire"
 )
 
-// Both directions of a TCP connection run one persistent wire codec stream
-// (for gob, type metadata is paid once per connection instead of per
-// message; for binary, the encode scratch buffers are reused across frames)
-// behind a single writer goroutine that coalesces queued envelopes into one
-// buffered write + flush, so pipelined requests share syscalls.
+// Both directions of a TCP connection run one persistent binary codec
+// stream (the encode scratch buffers are reused across frames) behind a
+// single writer goroutine that coalesces queued envelopes into one buffered
+// write + flush, so pipelined requests share syscalls.
 //
-// The codec is chosen by the CLIENT per connection: it writes the wire
-// negotiation preamble (nothing for gob, [magic, id] otherwise) before its
-// first frame, and the server sniffs it and answers in the same codec — so
-// a mixed-codec cluster keeps working during a rollout.
+// The client writes the wire negotiation preamble [magic, binary id] before
+// its first frame; the server requires it and closes, before any handler
+// runs, a connection that lacks it or declares another codec (a gob-era
+// peer).
 
 // outBufSize is the buffered-writer size of the coalescing writer.
 const outBufSize = 32 << 10
@@ -124,13 +124,16 @@ func (s *TCPServer) acceptLoop(ln net.Listener) {
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 
-	// Negotiate the connection's codec before anything else: the client
-	// declares it in a preamble ahead of its first frame (legacy gob sends
-	// none), and the server answers in kind. An idle connection blocked
-	// here is no different from one blocked on its first frame; Close()
-	// closing the conn unblocks both.
-	codec, cr, err := wire.SniffCodec(conn)
+	// Check the connection's preamble before anything else: the client
+	// declares the binary codec ahead of its first frame, and a peer that
+	// does not (a gob-era build) is refused here, before any handler runs.
+	// An idle connection blocked here is no different from one blocked on
+	// its first frame; Close() closing the conn unblocks both.
+	codec, err := wire.SniffCodec(conn)
 	if err != nil {
+		if errors.Is(err, wire.ErrRefusedPeer) {
+			log.Printf("transport: refusing connection from %s: %v", conn.RemoteAddr(), err)
+		}
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -172,7 +175,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	dec := codec.NewDecoder(cr)
+	dec := codec.NewDecoder(conn)
 	for {
 		env, err := dec.Decode()
 		if err != nil {
@@ -260,7 +263,6 @@ func (p *RetryPolicy) fillDefaults() {
 type TCPClient struct {
 	addrs    map[quorum.NodeID]string
 	compress bool
-	codec    wire.Codec
 	retry    RetryPolicy
 
 	retries   atomic.Uint64
@@ -292,8 +294,7 @@ func NewTCPClient(addrs map[quorum.NodeID]string, compress bool) *TCPClient {
 	for k, v := range addrs {
 		m[k] = v
 	}
-	c := &TCPClient{addrs: m, compress: compress, codec: wire.DefaultCodec,
-		conns: make(map[quorum.NodeID]*tcpConn)}
+	c := &TCPClient{addrs: m, compress: compress, conns: make(map[quorum.NodeID]*tcpConn)}
 	c.retry.fillDefaults()
 	return c
 }
@@ -303,15 +304,6 @@ func NewTCPClient(addrs map[quorum.NodeID]string, compress bool) *TCPClient {
 func (c *TCPClient) SetRetryPolicy(p RetryPolicy) {
 	p.fillDefaults()
 	c.retry = p
-}
-
-// SetCodec picks the wire codec for connections dialed after the call
-// (existing connections keep the codec they negotiated). Not safe to call
-// concurrently with Call. The default is wire.DefaultCodec.
-func (c *TCPClient) SetCodec(codec wire.Codec) {
-	if codec != nil {
-		c.codec = codec
-	}
 }
 
 // Retries reports how many reconnect attempts the client has made.
@@ -356,18 +348,18 @@ func (c *TCPClient) getConn(to quorum.NodeID) (*tcpConn, error) {
 	bw := bufio.NewWriterSize(conn, outBufSize)
 	// The negotiation preamble goes through the buffered writer, so it
 	// coalesces into the same packet as the first frame.
-	if err := wire.WritePreamble(bw, c.codec); err != nil {
+	if err := wire.WritePreamble(bw, wire.Binary); err != nil {
 		conn.Close()
 		delete(c.conns, to)
 		return nil, &Error{Kind: ErrKindDial, Node: to,
 			Err: fmt.Errorf("%w: preamble to %s: %v", ErrNodeDown, addr, err)}
 	}
-	enc := c.codec.NewEncoder(bw, c.compress)
+	enc := wire.Binary.NewEncoder(bw, c.compress)
 	go func() {
 		defer tc.fail()
 		writeLoop(enc, bw, tc.out, tc.stop)
 	}()
-	go tc.readLoop(c.codec.NewDecoder(conn))
+	go tc.readLoop(wire.Binary.NewDecoder(conn))
 	return tc, nil
 }
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,138 +29,179 @@ func formatFixture() []Record {
 	}
 }
 
-// TestRecordFormatsRoundTrip appends the fixture under each format and checks
-// recovery reconstructs identical state, and that ScanSegmentFormats reports
-// the format actually written.
+// TestRecordFormatsRoundTrip appends the fixture and checks that
+// ScanSegment reads back every record and that recovery reconstructs
+// identical state.
 func TestRecordFormatsRoundTrip(t *testing.T) {
-	for _, format := range []Format{FormatBinary, FormatGob} {
-		t.Run(format.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			l, _, err := Open(dir, Options{FsyncInterval: time.Millisecond, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs := formatFixture()
-			if err := l.Append(recs...); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("binary", func(t *testing.T) {
+		dir := t.TempDir()
+		l, _, err := Open(dir, Options{FsyncInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := formatFixture()
+		if err := l.Append(recs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			segs, err := Segments(dir)
-			if err != nil || len(segs) == 0 {
-				t.Fatalf("segments: %v %v", segs, err)
-			}
-			var scanned []Record
-			n, err := ScanSegmentFormats(segs[0], func(r *Record, _ int64, f Format) error {
-				if f != format {
-					t.Errorf("record reported format %v, written as %v", f, format)
-				}
-				scanned = append(scanned, *r)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != len(recs) {
-				t.Fatalf("scanned %d records, want %d", n, len(recs))
-			}
-			for i := range recs {
-				if !reflect.DeepEqual(scanned[i], recs[i]) {
-					t.Errorf("record %d: got %+v want %+v", i, scanned[i], recs[i])
-				}
-			}
-
-			_, r2, err := Open(dir, Options{Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := stateOf(r2)
-			if len(st) != len(recs) {
-				t.Fatalf("recovered %d objects, want %d", len(st), len(recs))
-			}
-			for _, want := range recs {
-				got := st[want.Key]
-				if got.NewVersion != want.Version || !reflect.DeepEqual(got.Value, want.Value) {
-					t.Errorf("%s recovered as %+v, want version %d value %v",
-						want.Key, got, want.Version, want.Value)
-				}
-			}
+		segs, err := Segments(dir)
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("segments: %v %v", segs, err)
+		}
+		var scanned []Record
+		n, err := ScanSegment(segs[0], func(r *Record, _ int64) error {
+			scanned = append(scanned, *r)
+			return nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(recs) {
+			t.Fatalf("scanned %d records, want %d", n, len(recs))
+		}
+		for i := range recs {
+			if !reflect.DeepEqual(scanned[i], recs[i]) {
+				t.Errorf("record %d: got %+v want %+v", i, scanned[i], recs[i])
+			}
+		}
+
+		_, r2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := stateOf(r2)
+		if len(st) != len(recs) {
+			t.Fatalf("recovered %d objects, want %d", len(st), len(recs))
+		}
+		for _, want := range recs {
+			got := st[want.Key]
+			if got.NewVersion != want.Version || !reflect.DeepEqual(got.Value, want.Value) {
+				t.Errorf("%s recovered as %+v, want version %d value %v",
+					want.Key, got, want.Version, want.Value)
+			}
+		}
+	})
+}
+
+// copyDir copies a testdata WAL directory into a fresh temp dir (Open
+// writes to the directory it recovers) and returns the copy with the bytes
+// of every file in it.
+func copyDir(t *testing.T, src string) (string, map[string][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return dir, files
+}
+
+// assertUntouched fails unless dir holds exactly the given files, byte for
+// byte.
+func assertUntouched(t *testing.T, dir string, want map[string][]byte) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(want) {
+		t.Fatalf("%s holds %d files after the refused open, want %d", dir, len(ents), len(want))
+	}
+	for name, b := range want {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, b) {
+			t.Fatalf("%s changed by the refused open", name)
+		}
 	}
 }
 
-// TestBinaryReplaysOldGobDirectory is the upgrade scenario: a directory
-// written entirely by a gob-era node (records AND snapshot) must replay under
-// the binary default, and subsequent appends land in binary — segments of
-// both formats then coexist across a second recovery.
-func TestBinaryReplaysOldGobDirectory(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{FsyncInterval: time.Millisecond, Format: FormatGob})
+// TestOpenRefusesGobEraDirectory is the format break: testdata/gob-era
+// holds one gob snapshot and one gob segment, written by the last release
+// that could produce them. Open must fail with a LegacyFormatError naming the
+// file and the upgrade step, and leave every byte in place — neither skip
+// the snapshot (its segments are compacted away) nor truncate the segment
+// as a torn tail (its records are acknowledged commits).
+func TestOpenRefusesGobEraDirectory(t *testing.T) {
+	const src = "testdata/gob-era"
+	for _, tc := range []struct {
+		name  string
+		files []string // subset of src to copy; nil = all
+		bad   string
+	}{
+		{"snapshot and segment", nil, "snap-00000002.db"},
+		{"segment only", []string{"wal-00000002.log"}, "wal-00000002.log"},
+	} {
+		dir, files := copyDir(t, src)
+		if tc.files != nil {
+			for name := range files {
+				if name != tc.files[0] {
+					os.Remove(filepath.Join(dir, name))
+					delete(files, name)
+				}
+			}
+		}
+		_, _, err := Open(dir, Options{})
+		var legacy *LegacyFormatError
+		if !errors.As(err, &legacy) {
+			t.Fatalf("%s: Open err = %v, want LegacyFormatError", tc.name, err)
+		}
+		if filepath.Base(legacy.Path) != tc.bad || legacy.Offset != 0 {
+			t.Fatalf("%s: error names %s at offset %d, want %s at 0", tc.name, legacy.Path, legacy.Offset, tc.bad)
+		}
+		for _, want := range []string{tc.bad, "gob", "SIGTERM"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %q", tc.name, err, want)
+			}
+		}
+		assertUntouched(t, dir, files)
+	}
+}
+
+// TestParentBinaryDirectoryReplays: testdata/binary-era was written in the
+// binary format by the last release that still carried the gob code. It
+// must replay exactly as that release replayed it.
+func TestParentBinaryDirectoryReplays(t *testing.T) {
+	dir, _ := copyDir(t, "testdata/binary-era")
+	l, r, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec("a", 1, 10), rec("b", 1, 20)); err != nil {
-		t.Fatal(err)
+	defer l.Close()
+	if r.SnapshotObjects != 2 || r.LogRecords != 5 || r.TornTail {
+		t.Fatalf("replayed %d snapshot objects + %d records (torn %v), want 2 + 5",
+			r.SnapshotObjects, r.LogRecords, r.TornTail)
 	}
-	// A gob snapshot too, so snapshot auto-detection is exercised.
-	if err := l.Checkpoint([]store.WriteDesc{{ID: "a", Value: store.Int64(10), NewVersion: 1}}); err != nil {
-		t.Fatal(err)
+	want := map[store.ObjectID]store.WriteDesc{
+		"acct/1": {ID: "acct/1", Value: store.Int64(21), NewVersion: 2, Block: 0},
+		"acct/2": {ID: "acct/2", Value: store.String("carol"), NewVersion: 1, Block: 1},
+		"row/3": {ID: "row/3", NewVersion: 1, Block: 2,
+			Value: store.Tuple{store.Int64(1), store.Bytes{0x00, 0xff}, store.Float64(2.5)}},
 	}
-	if err := l.Append(rec("b", 2, 21)); err != nil {
-		t.Fatal(err)
+	if got := stateOf(r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("state = %+v\nwant %+v", got, want)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	if len(r.InDoubt) != 1 || !reflect.DeepEqual(r.InDoubt[0], prepareRec("c1-t3-a0")) {
+		t.Fatalf("in doubt = %+v", r.InDoubt)
 	}
-
-	snaps, _ := Snapshots(dir)
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots: %v", snaps)
-	}
-	if _, f, err := ReadSnapshotFormat(snaps[0]); err != nil || f != FormatGob {
-		t.Fatalf("snapshot format %v err %v, want gob", f, err)
-	}
-
-	// Upgraded node: binary default, replays the gob directory.
-	l2, r2, err := Open(dir, Options{FsyncInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := stateOf(r2)
-	if w := st["b"]; w.NewVersion != 2 || store.AsInt64(w.Value) != 21 {
-		t.Fatalf("b recovered as %+v", w)
-	}
-	if err := l2.Append(rec("c", 1, 30)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Checkpoint([]store.WriteDesc{
-		{ID: "a", Value: store.Int64(10), NewVersion: 1},
-		{ID: "b", Value: store.Int64(21), NewVersion: 2},
-		{ID: "c", Value: store.Int64(30), NewVersion: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snaps, _ = Snapshots(dir)
-	if _, f, err := ReadSnapshotFormat(snaps[len(snaps)-1]); err != nil || f != FormatBinary {
-		t.Fatalf("new snapshot format %v err %v, want binary", f, err)
-	}
-
-	// Third generation reads the mixed directory.
-	_, r3, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = stateOf(r3)
-	if w := st["c"]; w.NewVersion != 1 || store.AsInt64(w.Value) != 30 {
-		t.Fatalf("c recovered as %+v", w)
-	}
-	if w := st["b"]; w.NewVersion != 2 {
-		t.Fatalf("b recovered as %+v", w)
+	if !reflect.DeepEqual(r.Decided, map[string]bool{"c1-t4-a0": true}) {
+		t.Fatalf("decided = %v", r.Decided)
 	}
 }
 
@@ -177,52 +221,80 @@ func writeRawFrame(t *testing.T, path string, payload []byte) {
 	}
 }
 
-// TestBadRecordDistinguishedFromTornTail: a CRC-valid frame with an
-// out-of-range version byte is a BadRecordError under ScanSegmentFormats
-// (inspection must fail loudly) but degrades to TornTailError under
-// ScanSegment so recovery keeps the intact prefix.
-func TestBadRecordDistinguishedFromTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := segmentPath(dir, 1)
+// scanFailure classifies a ScanSegment or Open error as "torn", "bad" or
+// "legacy" and returns the offset it names.
+func scanFailure(err error) (string, int64) {
+	var torn *TornTailError
+	var bad *BadRecordError
+	var legacy *LegacyFormatError
+	switch {
+	case errors.As(err, &torn):
+		return "torn", torn.Offset
+	case errors.As(err, &bad):
+		return "bad", bad.Offset
+	case errors.As(err, &legacy):
+		return "legacy", legacy.Offset
+	}
+	return fmt.Sprint(err), -1
+}
 
+// TestBadRecordDistinguishedFromTornTail appends one CRC-valid frame after
+// an intact record and checks how ScanSegment classifies it and what
+// recovery does with it:
+//
+//   - a malformed binary payload is a BadRecordError (inspection fails
+//     loudly) that recovery truncates like a torn tail;
+//   - a gob-era payload (first byte not the binary marker) is a
+//     LegacyFormatError that recovery refuses, truncating nothing;
+//   - an empty payload (a zero-filled tail) is a torn tail.
+func TestBadRecordDistinguishedFromTornTail(t *testing.T) {
 	good, err := AppendRecordFrame(nil, &Record{TxID: "t", Key: "k", Version: 1, Value: store.Int64(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, good, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range [][]byte{
-		{binMarker, 0x7F, 'x'}, // future/invalid version byte
-		{binMarker},            // truncated before version byte
-		{0x42, 0x99, 0x01},     // not binary, not a valid gob stream
+	for _, tc := range []struct {
+		payload []byte
+		want    string
+	}{
+		{[]byte{binMarker, 0x7F, 'x'}, "bad"}, // future/invalid version byte
+		{[]byte{binMarker}, "bad"},            // truncated before version byte
+		{[]byte{0x42, 0x99, 0x01}, "legacy"},  // gob-era signature
+		{[]byte{}, "torn"},                    // zero-filled tail
 	} {
-		writeRawFrame(t, path, bad)
-
-		var badErr *BadRecordError
-		n, err := ScanSegmentFormats(path, nil)
-		if !errors.As(err, &badErr) {
-			t.Fatalf("payload %x: ScanSegmentFormats err = %v, want BadRecordError", bad, err)
-		}
-		if n != 1 {
-			t.Fatalf("payload %x: %d intact records before bad one, want 1", bad, n)
-		}
-		if badErr.Offset != int64(len(good)) {
-			t.Fatalf("payload %x: bad offset %d, want %d", bad, badErr.Offset, len(good))
-		}
-
-		var torn *TornTailError
-		n, err = ScanSegment(path, nil)
-		if !errors.As(err, &torn) || n != 1 {
-			t.Fatalf("payload %x: ScanSegment = (%d, %v), want torn tail after 1 record", bad, n, err)
-		}
-		if torn.Offset != int64(len(good)) {
-			t.Fatalf("payload %x: torn offset %d, want %d", bad, torn.Offset, len(good))
-		}
-
-		// Reset for the next bad payload.
-		if err := os.Truncate(path, int64(len(good))); err != nil {
+		dir := t.TempDir()
+		path := segmentPath(dir, 1)
+		if err := os.WriteFile(path, good, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		writeRawFrame(t, path, tc.payload)
+		size := int64(len(good) + 8 + len(tc.payload))
+
+		n, err := ScanSegment(path, nil)
+		if got, off := scanFailure(err); got != tc.want || off != int64(len(good)) || n != 1 {
+			t.Fatalf("payload %x: ScanSegment = %d records then %s at %d, want 1 then %s at %d",
+				tc.payload, n, got, off, tc.want, len(good))
+		}
+
+		l, r, err := Open(dir, Options{})
+		if tc.want == "legacy" {
+			if got, _ := scanFailure(err); got != "legacy" {
+				t.Fatalf("payload %x: Open err = %v, want LegacyFormatError", tc.payload, err)
+			}
+			if fi, _ := os.Stat(path); fi.Size() != size {
+				t.Fatalf("payload %x: refused open resized the segment to %d", tc.payload, fi.Size())
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("payload %x: Open: %v", tc.payload, err)
+		}
+		l.Close()
+		if !r.TornTail || r.LogRecords != 1 {
+			t.Fatalf("payload %x: recovered %d records, torn %v; want 1 record and a truncated tail",
+				tc.payload, r.LogRecords, r.TornTail)
+		}
+		if fi, _ := os.Stat(path); fi.Size() != int64(len(good)) {
+			t.Fatalf("payload %x: segment is %d bytes after recovery, want %d", tc.payload, fi.Size(), len(good))
 		}
 	}
 }
@@ -272,19 +344,6 @@ func BenchmarkRecordEncodeBinary(b *testing.B) {
 	_ = buf
 }
 
-func BenchmarkRecordEncodeGob(b *testing.B) {
-	r := benchRecord()
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := encodeRecordGob(&buf, &r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRecordDecodeBinary(b *testing.B) {
 	r := benchRecord()
 	frame, err := AppendRecordFrame(nil, &r)
@@ -295,23 +354,7 @@ func BenchmarkRecordDecodeBinary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeRecordPayload(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRecordDecodeGob(b *testing.B) {
-	r := benchRecord()
-	var buf bytes.Buffer
-	if err := encodeRecordGob(&buf, &r); err != nil {
-		b.Fatal(err)
-	}
-	payload := buf.Bytes()[8:]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeRecordPayload(payload); err != nil {
+		if _, err := decodeRecordPayload(payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,12 +26,6 @@ import (
 	"time"
 
 	"qracn/internal/store"
-
-	// Importing wire registers the built-in store.Value concrete types with
-	// gob, which record and snapshot payloads rely on. Workload-specific
-	// value types register through wire.RegisterValue exactly as they do for
-	// the TCP transport.
-	_ "qracn/internal/wire"
 )
 
 // ErrClosed is returned by Append after Close or Crash.
@@ -49,11 +43,6 @@ type Options struct {
 	FsyncInterval time.Duration
 	// SegmentSize is the roll threshold in bytes (default 4 MiB).
 	SegmentSize int64
-	// Format selects the record and snapshot payload encoding for NEW
-	// writes (default FormatBinary). Replay auto-detects per record, so a
-	// directory can hold segments of both formats — e.g. after flipping a
-	// node's -codec flag across restarts.
-	Format Format
 }
 
 func (o *Options) fillDefaults() {
@@ -62,9 +51,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.SegmentSize == 0 {
 		o.SegmentSize = 4 << 20
-	}
-	if o.Format == FormatDefault {
-		o.Format = FormatBinary
 	}
 }
 
@@ -194,7 +180,9 @@ func (l *Log) recover() (*Recovered, error) {
 
 	// Newest CRC-valid snapshot wins; corrupt ones (e.g. a crash between
 	// temp-file write and rename never happens thanks to the rename, but a
-	// disk error can still bit-rot a file) fall back to older snapshots.
+	// disk error can still bit-rot a file) fall back to older snapshots. A
+	// gob-era snapshot is NOT skipped: the segments it covered are already
+	// compacted away, so falling back would silently lose commits.
 	var snapIdx uint64
 	snapIdxs, err := listIndexed(l.dir, snapshotPrefix, snapshotSuffix)
 	if err != nil {
@@ -203,6 +191,10 @@ func (l *Log) recover() (*Recovered, error) {
 	rec := &Recovered{}
 	for i := len(snapIdxs) - 1; i >= 0; i-- {
 		objs, err := ReadSnapshot(snapshotPath(l.dir, snapIdxs[i]))
+		var legacy *LegacyFormatError
+		if errors.As(err, &legacy) {
+			return nil, err
+		}
 		if err != nil {
 			continue
 		}
@@ -250,10 +242,20 @@ func (l *Log) recover() (*Recovered, error) {
 		})
 		rec.LogRecords += n
 		if err != nil {
+			// Crash mid-append (or a CRC-valid but malformed binary record)
+			// in the final segment: keep the intact prefix, drop the tail. A
+			// gob-era record is never truncated — it falls through to the
+			// error below.
 			var torn *TornTailError
-			if errors.As(err, &torn) && i == len(segIdxs)-1 {
-				// Crash mid-append: keep the intact prefix, drop the tail.
-				if terr := os.Truncate(path, torn.Offset); terr != nil {
+			var bad *BadRecordError
+			tail := int64(-1)
+			if errors.As(err, &torn) {
+				tail = torn.Offset
+			} else if errors.As(err, &bad) {
+				tail = bad.Offset
+			}
+			if tail >= 0 && i == len(segIdxs)-1 {
+				if terr := os.Truncate(path, tail); terr != nil {
 					return nil, terr
 				}
 				rec.TornTail = true
@@ -375,13 +377,10 @@ func (l *Log) Append(recs ...Record) error {
 	return <-ch
 }
 
-// stageRecordLocked appends one framed record to the staging buffer in the
-// configured format. The binary path reuses a scratch buffer, so steady-state
-// staging performs no per-record allocation. Callers hold l.mu.
+// stageRecordLocked appends one framed record to the staging buffer. It
+// reuses a scratch buffer, so steady-state staging performs no per-record
+// allocation. Callers hold l.mu.
 func (l *Log) stageRecordLocked(rec *Record) error {
-	if l.opts.Format == FormatGob {
-		return encodeRecordGob(l.buf, rec)
-	}
 	frame, err := AppendRecordFrame(l.scratch[:0], rec)
 	if err != nil {
 		return fmt.Errorf("wal: encode record: %w", err)
@@ -517,7 +516,7 @@ func (l *Log) Checkpoint(objs []store.WriteDesc, keep ...Record) error {
 			return err
 		}
 	}
-	if err := writeSnapshotFile(l.dir, snapIdx, objs, l.opts.Format); err != nil {
+	if err := writeSnapshotFile(l.dir, snapIdx, objs); err != nil {
 		return err
 	}
 	l.snaps.Add(1)

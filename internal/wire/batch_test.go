@@ -24,15 +24,7 @@ func sampleBatch(n int) *Request {
 }
 
 func TestBatchMarshalRoundTrip(t *testing.T) {
-	req := sampleBatch(4)
-	data, err := Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	if err := Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
+	got := marshalRoundTrip(t, &Envelope{Req: sampleBatch(4)}).Req
 	if got.Kind != KindBatch || got.Batch == nil || len(got.Batch.Subs) != 4 {
 		t.Fatalf("got = %+v", got)
 	}
@@ -55,14 +47,7 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 			{Status: StatusBusy, Read: &ReadResponse{Invalid: []store.ObjectID{"a"}}},
 		}},
 	}
-	var buf bytes.Buffer
-	if err := WriteEnvelope(&buf, &Envelope{Seq: 9, IsResponse: true, Resp: resp}, true); err != nil {
-		t.Fatal(err)
-	}
-	env, err := ReadEnvelope(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, _ := frameRoundTrip(t, &Envelope{Seq: 9, IsResponse: true, Resp: resp}, true)
 	subs := env.Resp.Batch.Subs
 	if len(subs) != 3 {
 		t.Fatalf("subs = %+v", subs)
@@ -101,14 +86,14 @@ func TestBatchCloneIsDeep(t *testing.T) {
 }
 
 // TestStreamCodecManyEnvelopes pushes a mixed stream (plain, batch, cancel
-// frames) through one persistent encoder/decoder pair — the codec the TCP
-// transport runs — and checks order and content survive, with and without
+// frames) through one persistent binary encoder/decoder pair — the codec
+// the TCP transport runs — and checks order and content survive, with and without
 // compression.
 func TestStreamCodecManyEnvelopes(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
 			var buf bytes.Buffer
-			enc := NewStreamEncoder(&buf, compress)
+			enc := NewBinaryEncoder(&buf, compress)
 			var sent []*Envelope
 			for i := 0; i < 20; i++ {
 				var env *Envelope
@@ -125,7 +110,7 @@ func TestStreamCodecManyEnvelopes(t *testing.T) {
 				}
 				sent = append(sent, env)
 			}
-			dec := NewStreamDecoder(&buf)
+			dec := NewBinaryDecoder(&buf)
 			for i, want := range sent {
 				got, err := dec.Decode()
 				if err != nil {
@@ -145,14 +130,14 @@ func TestStreamCodecManyEnvelopes(t *testing.T) {
 }
 
 // TestStreamCodecCompressedLargePayload exercises the compression path above
-// CompressThreshold through the persistent codec.
+// CompressThreshold through the persistent binary codec.
 func TestStreamCodecCompressedLargePayload(t *testing.T) {
 	big := make(store.Bytes, 128<<10)
 	for i := range big {
 		big[i] = byte(i % 7) // compressible
 	}
 	var buf bytes.Buffer
-	enc := NewStreamEncoder(&buf, true)
+	enc := NewBinaryEncoder(&buf, true)
 	env := &Envelope{Seq: 1, IsResponse: true, Resp: &Response{
 		Status: StatusOK,
 		Read:   &ReadResponse{Value: big, Version: 5},
@@ -163,7 +148,7 @@ func TestStreamCodecCompressedLargePayload(t *testing.T) {
 	if buf.Len() >= len(big) {
 		t.Fatalf("compressed stream (%d bytes) not smaller than payload (%d)", buf.Len(), len(big))
 	}
-	got, err := NewStreamDecoder(&buf).Decode()
+	got, err := NewBinaryDecoder(&buf).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}

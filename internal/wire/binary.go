@@ -18,16 +18,17 @@ import (
 	"qracn/internal/trace"
 )
 
-// The binary codec is a hand-rolled, fixed-layout wire format for Envelopes,
-// replacing gob on the request hot path. Design goals, in order:
+// The binary codec is a hand-rolled, fixed-layout wire format for Envelopes.
+// Design goals, in order:
 //
 //  1. Zero allocations on encode: every message is appended into the
 //     encoder's reusable buffer with append-only primitives; nothing escapes.
 //  2. Corruption detection: every frame carries a CRC-32C of its wire
-//     payload (gob frames rely on the decoder noticing garbage).
+//     payload.
 //  3. Self-describing envelopes: payload presence is an explicit bitmask,
-//     so any envelope gob can represent round-trips identically — the
-//     property FuzzCodecEquivalence checks against the gob oracle.
+//     so every field of every message round-trips identically — the
+//     property FuzzBinaryRoundTrip checks on envelopes with every exported
+//     field set.
 //
 // Frame layout (codec negotiation happens once per connection, see codec.go):
 //
@@ -47,8 +48,7 @@ import (
 //	value   u8 type tag + body (see appendValue)
 //
 // Slices and maps encode as uvarint count + elements; a zero count decodes
-// as nil, matching gob's omit-empty semantics so the two codecs are
-// decode-equivalent.
+// as nil, so an empty and a nil slice are the same message.
 const (
 	binFlagCompressed byte = 1 << 0
 
@@ -130,9 +130,11 @@ var ErrBadFrame = errors.New("wire: corrupt binary frame")
 
 // maxBinaryDepth bounds recursion (nested tuples/batches) on BOTH encode and
 // decode: the decoder so hostile input cannot overflow the stack, the encoder
-// so every envelope the codec emits is one it can read back. Gob tolerates
-// nesting two orders of magnitude deeper; refusing it symmetrically is an
-// intentional, fuzz-asserted difference (no real message nests past ~3).
+// so every envelope the codec emits is one it can read back (no real message
+// nests past ~3). Both sides count levels the same way, as binReader.enter
+// does: a top-level request, response or value is level 1, a batch sub or a
+// value inside a message is one deeper than its parent, and a tuple element
+// one deeper than its tuple.
 const maxBinaryDepth = 64
 
 // errTooDeep is returned by the encoder for envelopes nested past
@@ -253,10 +255,13 @@ func (d *BinaryDecoder) Decode() (*Envelope, error) {
 	payload := d.frame
 	if d.hdr[4]&binFlagCompressed != 0 {
 		fr := flate.NewReader(bytes.NewReader(payload))
-		out, err := io.ReadAll(fr)
+		out, err := io.ReadAll(io.LimitReader(fr, MaxFrameSize+1))
 		fr.Close()
 		if err != nil {
 			return nil, fmt.Errorf("%w: decompress: %v", ErrBadFrame, err)
+		}
+		if len(out) > MaxFrameSize {
+			return nil, fmt.Errorf("%w: frame inflates past %d bytes", ErrBadFrame, MaxFrameSize)
 		}
 		payload = out
 	}
@@ -283,12 +288,12 @@ func AppendEnvelope(dst []byte, env *Envelope) ([]byte, error) {
 	dst = append(dst, flags)
 	var err error
 	if env.Req != nil {
-		if dst, err = appendRequest(dst, env.Req, 0); err != nil {
+		if dst, err = appendRequest(dst, env.Req, 1); err != nil {
 			return nil, err
 		}
 	}
 	if env.Resp != nil {
-		if dst, err = appendResponse(dst, env.Resp, 0); err != nil {
+		if dst, err = appendResponse(dst, env.Resp, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -386,14 +391,14 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	}
 	if r.Prepare != nil {
 		dst = appendReadDescs(dst, r.Prepare.Reads)
-		if dst, err = appendWriteDescs(dst, r.Prepare.Writes, depth); err != nil {
+		if dst, err = appendWriteDescs(dst, r.Prepare.Writes, depth+1); err != nil {
 			return nil, err
 		}
 		dst = appendNodeIDs(dst, r.Prepare.Quorum)
 	}
 	if r.Decision != nil {
 		dst = appendBool(dst, r.Decision.Commit)
-		if dst, err = appendWriteDescs(dst, r.Decision.Writes, depth); err != nil {
+		if dst, err = appendWriteDescs(dst, r.Decision.Writes, depth+1); err != nil {
 			return nil, err
 		}
 		dst = appendIDs(dst, r.Decision.Release)
@@ -419,7 +424,7 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	}
 	if r.Repair != nil {
 		dst = appendString(dst, string(r.Repair.Object))
-		if dst, err = appendValue(dst, r.Repair.Value, depth); err != nil {
+		if dst, err = appendValue(dst, r.Repair.Value, depth+1); err != nil {
 			return nil, err
 		}
 		dst = binary.AppendUvarint(dst, r.Repair.Version)
@@ -433,7 +438,7 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	}
 	if r.Resolve != nil {
 		dst = appendBool(dst, r.Resolve.Commit)
-		if dst, err = appendWriteDescs(dst, r.Resolve.Writes, depth); err != nil {
+		if dst, err = appendWriteDescs(dst, r.Resolve.Writes, depth+1); err != nil {
 			return nil, err
 		}
 		dst = appendIDs(dst, r.Resolve.Release)
@@ -491,7 +496,7 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, mask)
 	var err error
 	if r.Read != nil {
-		if dst, err = appendValue(dst, r.Read.Value, depth); err != nil {
+		if dst, err = appendValue(dst, r.Read.Value, depth+1); err != nil {
 			return nil, err
 		}
 		dst = binary.AppendUvarint(dst, r.Read.Version)
@@ -507,7 +512,7 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 		dst = appendLevels(dst, r.Stats.Levels)
 	}
 	if r.Sync != nil {
-		if dst, err = appendWriteDescs(dst, r.Sync.Objects, depth); err != nil {
+		if dst, err = appendWriteDescs(dst, r.Sync.Objects, depth+1); err != nil {
 			return nil, err
 		}
 	}
@@ -661,8 +666,8 @@ func appendEvent(dst []byte, e *trace.Event) []byte {
 }
 
 // Forensic event layouts. CauseName/ReasonName are derived strings, but they
-// are carried verbatim rather than re-stamped on decode so the binary codec
-// stays decode-equivalent to the gob oracle on arbitrary structs.
+// are carried verbatim rather than re-stamped on decode so any event
+// round-trips unchanged.
 
 func appendAbortEvent(dst []byte, e *forensics.AbortEvent) []byte {
 	dst = appendTime(dst, e.At)
@@ -715,7 +720,7 @@ type valueBox struct{ V store.Value }
 // AppendValue appends a store.Value in the binary value encoding. Built-in
 // types take the fixed tags; registered custom types fall back to an inline
 // gob blob.
-func AppendValue(dst []byte, v store.Value) ([]byte, error) { return appendValue(dst, v, 0) }
+func AppendValue(dst []byte, v store.Value) ([]byte, error) { return appendValue(dst, v, 1) }
 
 func appendValue(dst []byte, v store.Value, depth int) ([]byte, error) {
 	if depth > maxBinaryDepth {

@@ -37,34 +37,41 @@ func binBatchEnv() *Envelope {
 	return &Envelope{Seq: 8, Req: &Request{Kind: KindBatch, Batch: &BatchRequest{Subs: subs}}}
 }
 
-// TestBinaryNegotiation pins the connection-setup handshake: a gob client
-// writes no preamble and sniffs back to Gob byte-for-byte; a binary client
-// writes [magic, id] and sniffs back to Binary — and in both cases the
-// stream decodes from the returned reader without losing the first frame.
+// TestBinaryNegotiation pins the connection-setup handshake: a client
+// writes [magic, binary id], the server sniffs back Binary, and the stream
+// decodes from the same reader without losing the first frame. A gob-era
+// stream (no preamble: its first byte is the top byte of a frame length)
+// and the retired gob codec id are refused.
 func TestBinaryNegotiation(t *testing.T) {
-	for _, codec := range Codecs() {
-		var buf bytes.Buffer
-		if err := WritePreamble(&buf, codec); err != nil {
-			t.Fatalf("%s: preamble: %v", codec.Name(), err)
-		}
-		env := binReadEnv()
-		if err := codec.NewEncoder(&buf, false).Encode(env); err != nil {
-			t.Fatalf("%s: encode: %v", codec.Name(), err)
-		}
-		sniffed, r, err := SniffCodec(&buf)
-		if err != nil {
-			t.Fatalf("%s: sniff: %v", codec.Name(), err)
-		}
-		if sniffed.Name() != codec.Name() {
-			t.Fatalf("sniffed %q, wrote %q", sniffed.Name(), codec.Name())
-		}
-		got, err := sniffed.NewDecoder(r).Decode()
-		if err != nil {
-			t.Fatalf("%s: decode after sniff: %v", codec.Name(), err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Fatalf("%s: envelope mutated across negotiation:\n got %+v\nwant %+v",
-				codec.Name(), got, env)
+	var buf bytes.Buffer
+	if err := WritePreamble(&buf, Binary); err != nil {
+		t.Fatalf("preamble: %v", err)
+	}
+	env := binReadEnv()
+	if err := Binary.NewEncoder(&buf, false).Encode(env); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	sniffed, err := SniffCodec(&buf)
+	if err != nil {
+		t.Fatalf("sniff: %v", err)
+	}
+	if sniffed.Name() != Binary.Name() {
+		t.Fatalf("sniffed %q, wrote %q", sniffed.Name(), Binary.Name())
+	}
+	got, err := sniffed.NewDecoder(&buf).Decode()
+	if err != nil {
+		t.Fatalf("decode after sniff: %v", err)
+	}
+	if !reflect.DeepEqual(got, env) {
+		t.Fatalf("envelope mutated across negotiation:\n got %+v\nwant %+v", got, env)
+	}
+
+	for _, stream := range [][]byte{
+		{0x00, 0x00, 0x0b, 0x8d, 0x00}, // gob-era frame header
+		{preambleMagic, retiredGobID},
+	} {
+		if _, err := SniffCodec(bytes.NewReader(stream)); !errors.Is(err, ErrRefusedPeer) {
+			t.Fatalf("stream %x: err = %v, want ErrRefusedPeer", stream, err)
 		}
 	}
 }
@@ -72,8 +79,8 @@ func TestBinaryNegotiation(t *testing.T) {
 // TestSniffRejectsUnknownCodecID keeps the negotiation failure loud: a peer
 // claiming a codec this build does not know must be refused, not guessed at.
 func TestSniffRejectsUnknownCodecID(t *testing.T) {
-	if _, _, err := SniffCodec(bytes.NewReader([]byte{0xC6, 0x7F})); err == nil {
-		t.Fatal("unknown codec id sniffed without error")
+	if _, err := SniffCodec(bytes.NewReader([]byte{0xC6, 0x7F})); !errors.Is(err, ErrRefusedPeer) {
+		t.Fatalf("unknown codec id: err = %v, want ErrRefusedPeer", err)
 	}
 }
 
@@ -162,40 +169,72 @@ func TestBinaryResponseRoundTrips(t *testing.T) {
 			Sync:   &SyncResponse{Objects: []store.WriteDesc{{ID: store.ID("a", 0), Value: store.Int64(5), NewVersion: 2, Block: -1}}},
 		}},
 		{Seq: 5, Cancel: true},
+		// A nil sub inside a batch survives: the binary layout carries a
+		// per-sub presence byte.
+		{Seq: 6, IsResponse: true, Resp: &Response{
+			Status: StatusOK,
+			Batch:  &BatchResponse{Subs: []*Response{nil, {Status: StatusOK}}},
+		}},
 	}
 	for _, env := range envs {
-		for _, codec := range Codecs() {
-			var buf bytes.Buffer
-			if err := codec.NewEncoder(&buf, false).Encode(env); err != nil {
-				t.Fatalf("%s seq=%d: %v", codec.Name(), env.Seq, err)
-			}
-			got, err := codec.NewDecoder(&buf).Decode()
-			if err != nil {
-				t.Fatalf("%s seq=%d: %v", codec.Name(), env.Seq, err)
-			}
-			if !reflect.DeepEqual(got, env) {
-				t.Fatalf("%s seq=%d mutated:\n got %+v\nwant %+v", codec.Name(), env.Seq, got, env)
-			}
+		if got, _ := frameRoundTrip(t, env, false); !reflect.DeepEqual(got, env) {
+			t.Fatalf("seq=%d mutated:\n got %+v\nwant %+v", env.Seq, got, env)
 		}
 	}
+}
 
-	// A nil sub inside a batch is binary-only: gob cannot encode a nil
-	// pointer in a slice at all, so only the binary layout (per-sub
-	// presence byte) preserves it.
-	nilSub := &Envelope{Seq: 6, IsResponse: true, Resp: &Response{
-		Status: StatusOK,
-		Batch:  &BatchResponse{Subs: []*Response{nil, {Status: StatusOK}}},
-	}}
-	var buf bytes.Buffer
-	if err := Binary.NewEncoder(&buf, false).Encode(nilSub); err != nil {
-		t.Fatal(err)
+// TestBinaryDepthCapIsSymmetric pins that the encoder and the decoder count
+// nesting the same way: the deepest batch chain and the deepest values the
+// encoder accepts decode again, and one level more is refused at encode
+// time. Otherwise a message (or a commit-log record) could be written that
+// can never be read back.
+func TestBinaryDepthCapIsSymmetric(t *testing.T) {
+	chain := func(levels int) *Envelope { // a batch chain levels requests deep
+		req := &Request{Kind: KindPing}
+		for i := 1; i < levels; i++ {
+			req = &Request{Kind: KindBatch, Batch: &BatchRequest{Subs: []*Request{req}}}
+		}
+		return &Envelope{Req: req}
 	}
-	got, err := Binary.NewDecoder(&buf).Decode()
+	nested := func(levels int) store.Value { // a tuple chain levels values deep
+		var v store.Value = store.Int64(1)
+		for i := 1; i < levels; i++ {
+			v = store.Tuple{v}
+		}
+		return v
+	}
+	repair := func(v store.Value) *Envelope {
+		return &Envelope{Req: &Request{Kind: KindRepair, Repair: &RepairRequest{Object: "a", Value: v}}}
+	}
+	// A top-level request is level 1 and its values level 2.
+	for _, tc := range []struct {
+		name       string
+		fits, over *Envelope
+	}{
+		{"batch chain", chain(maxBinaryDepth), chain(maxBinaryDepth + 1)},
+		{"request value", repair(nested(maxBinaryDepth - 1)), repair(nested(maxBinaryDepth))},
+	} {
+		payload, err := AppendEnvelope(nil, tc.fits)
+		if err != nil {
+			t.Fatalf("%s at the cap: encode: %v", tc.name, err)
+		}
+		if _, err := DecodeEnvelope(payload); err != nil {
+			t.Fatalf("%s at the cap: encoded but cannot decode: %v", tc.name, err)
+		}
+		if _, err := AppendEnvelope(nil, tc.over); !errors.Is(err, errTooDeep) {
+			t.Fatalf("%s past the cap: encode err = %v, want errTooDeep", tc.name, err)
+		}
+	}
+	// A bare value (the commit log's value path) is level 1.
+	buf, err := AppendValue(nil, nested(maxBinaryDepth))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("value at the cap: encode: %v", err)
 	}
-	if !reflect.DeepEqual(got, nilSub) {
-		t.Fatalf("nil batch sub mutated:\n got %+v\nwant %+v", got, nilSub)
+	if _, _, err := DecodeValue(buf); err != nil {
+		t.Fatalf("value at the cap: encoded but cannot decode: %v", err)
+	}
+	if _, err := AppendValue(nil, nested(maxBinaryDepth+1)); !errors.Is(err, errTooDeep) {
+		t.Fatalf("value past the cap: encode err = %v, want errTooDeep", err)
 	}
 }
 
@@ -226,9 +265,9 @@ func TestBinaryCustomValueFallback(t *testing.T) {
 	}
 }
 
-// TestBinaryEmptySlicesDecodeNil pins the gob-compatible omit-empty
-// semantics: zero-length slices and maps come back nil, so DeepEqual
-// comparisons against gob-decoded envelopes hold.
+// TestBinaryEmptySlicesDecodeNil pins the omit-empty semantics: zero-length
+// slices and maps come back nil, so an empty and a nil slice are the same
+// message.
 func TestBinaryEmptySlicesDecodeNil(t *testing.T) {
 	env := &Envelope{Seq: 9, Req: &Request{
 		Kind: KindRead,
@@ -304,8 +343,7 @@ func TestBinaryDecodeAllocsBounded(t *testing.T) {
 	}
 }
 
-// Benchmarks: gob vs binary on the two hot-path shapes. Run with -bench to
-// compare; CI's codec A/B job measures the end-to-end effect instead.
+// Benchmarks: binary encode and decode on the two hot-path shapes.
 func benchmarkEncode(b *testing.B, codec Codec, env *Envelope) {
 	var sink bytes.Buffer
 	enc := codec.NewEncoder(&sink, false)
@@ -320,8 +358,7 @@ func benchmarkEncode(b *testing.B, codec Codec, env *Envelope) {
 }
 
 func benchmarkDecode(b *testing.B, codec Codec, env *Envelope) {
-	// One long stream of identical frames so persistent-codec state (gob
-	// type metadata) is paid once, as on a real connection.
+	// One long stream of identical frames, as on a real connection.
 	var buf bytes.Buffer
 	enc := codec.NewEncoder(&buf, false)
 	const frames = 512
@@ -338,10 +375,6 @@ func benchmarkDecode(b *testing.B, codec Codec, env *Envelope) {
 	for i := 0; i < b.N; i++ {
 		if r.Len() == 0 {
 			r.Reset(stream)
-			if codec.Name() == "gob" {
-				// A gob stream cannot be re-entered mid-state; rebind.
-				dec = codec.NewDecoder(r)
-			}
 		}
 		if _, err := dec.Decode(); err != nil {
 			b.Fatal(err)
@@ -349,11 +382,7 @@ func benchmarkDecode(b *testing.B, codec Codec, env *Envelope) {
 	}
 }
 
-func BenchmarkEncodeReadGob(b *testing.B)     { benchmarkEncode(b, Gob, binReadEnv()) }
 func BenchmarkEncodeReadBinary(b *testing.B)  { benchmarkEncode(b, Binary, binReadEnv()) }
-func BenchmarkEncodeBatchGob(b *testing.B)    { benchmarkEncode(b, Gob, binBatchEnv()) }
 func BenchmarkEncodeBatchBinary(b *testing.B) { benchmarkEncode(b, Binary, binBatchEnv()) }
-func BenchmarkDecodeReadGob(b *testing.B)     { benchmarkDecode(b, Gob, binReadEnv()) }
 func BenchmarkDecodeReadBinary(b *testing.B)  { benchmarkDecode(b, Binary, binReadEnv()) }
-func BenchmarkDecodeBatchGob(b *testing.B)    { benchmarkDecode(b, Gob, binBatchEnv()) }
 func BenchmarkDecodeBatchBinary(b *testing.B) { benchmarkDecode(b, Binary, binBatchEnv()) }

@@ -1,24 +1,19 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"io"
 )
 
-// A Codec is one wire serialization format for Envelopes. Two are built in:
-//
-//   - Gob: the original reflection-driven encoding/gob stream codec. Type
-//     metadata is paid once per connection; every frame still pays gob's
-//     reflection walk and per-field allocations.
-//   - Binary: a hand-rolled, fixed-layout binary encoding (see binary.go)
-//     with CRC-32C-checked frames, append-only encoding into pooled buffers,
-//     and an allocation-free encode path for every message kind.
-//
-// Binary is the default. Gob stays behind this interface for one release as
-// a compatibility fallback and as the differential-fuzzing oracle
-// (FuzzCodecEquivalence asserts decode-equality between the two).
+// A Codec is a wire serialization format for Envelopes. Binary (binary.go)
+// is the only built-in one: a hand-rolled, fixed-layout encoding with
+// CRC-32C-checked frames, append-only encoding into pooled buffers, and an
+// allocation-free encode path for every message kind. The interface stays
+// so the in-process network can run messages through a wrapped codec (for
+// example to time encode and decode from outside).
 type Codec interface {
-	// Name is the flag-friendly identifier ("gob", "binary").
+	// Name identifies the codec in logs and reports ("binary").
 	Name() string
 	// ID is the negotiation byte sent after the preamble magic. IDs must be
 	// stable across releases: they are written to the wire.
@@ -41,114 +36,56 @@ type EnvelopeDecoder interface {
 	Decode() (*Envelope, error)
 }
 
-// The built-in codecs. DefaultCodec is what transports use when no codec is
-// chosen explicitly.
-var (
-	Gob          Codec = gobCodec{}
-	Binary       Codec = binaryCodec{}
-	DefaultCodec       = Binary
-)
-
-// Codecs lists the built-in codecs (differential tests iterate this).
-func Codecs() []Codec { return []Codec{Gob, Binary} }
-
-// CodecByName resolves a -codec flag value.
-func CodecByName(name string) (Codec, error) {
-	for _, c := range Codecs() {
-		if c.Name() == name {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("wire: unknown codec %q (use gob or binary)", name)
-}
-
-// codecByID resolves a negotiation byte.
-func codecByID(id byte) (Codec, bool) {
-	for _, c := range Codecs() {
-		if c.ID() == id {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
-// gobCodec adapts the persistent gob stream codec (stream.go) to the Codec
-// interface.
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return "gob" }
-func (gobCodec) ID() byte     { return 1 }
-func (gobCodec) NewEncoder(w io.Writer, compress bool) EnvelopeEncoder {
-	return NewStreamEncoder(w, compress)
-}
-func (gobCodec) NewDecoder(r io.Reader) EnvelopeDecoder { return NewStreamDecoder(r) }
+// Binary is the wire codec.
+var Binary Codec = binaryCodec{}
 
 // Codec negotiation.
 //
-// A connection's codec is declared by the CLIENT in a preamble written
-// before its first frame, and the server answers in the same codec:
-//
-//	gob:    no preamble — the byte stream is exactly what pre-codec
-//	        releases produced, so old peers interoperate both ways.
-//	binary: two bytes [preambleMagic, codec ID], then binary frames.
-//
-// Detection is unambiguous because every legacy stream starts with a frame
-// header whose first byte is the top byte of a 4-byte big-endian length
-// bounded by MaxFrameSize (64 MiB): it is always <= 0x04, while
-// preambleMagic is 0xC6. A server therefore sniffs one byte: magic means
-// "read the codec ID and speak it back", anything else means gob. Mixed
-// clusters work during a rollout — upgraded servers accept both, and
-// clients pick per connection with -codec.
-const preambleMagic byte = 0xC6
+// A client declares the codec in a two-byte preamble written before its
+// first frame: [preambleMagic, codec ID]. The server requires it and
+// answers in binary. A gob-era peer sends no preamble at all: its first
+// byte is the top byte of a 4-byte big-endian frame length (always <= 0x04),
+// never preambleMagic (0xC6), so it is refused on the first byte. Codec ID 1
+// belonged to the retired gob codec; it stays reserved, is refused, and is
+// never reused.
+const (
+	preambleMagic byte = 0xC6
+	// retiredGobID is the negotiation byte of the deleted gob codec.
+	retiredGobID byte = 1
+)
 
-// WritePreamble declares codec c on a fresh connection. Gob writes nothing
-// (legacy compatibility); other codecs write [magic, id]. Call it before the
+// ErrRefusedPeer wraps every SniffCodec refusal, so a server can tell a
+// peer speaking another protocol from a connection that merely dropped.
+var ErrRefusedPeer = errors.New("wire: peer refused")
+
+// WritePreamble declares codec c on a fresh connection. Call it before the
 // first Encode on the same writer.
 func WritePreamble(w io.Writer, c Codec) error {
-	if c.Name() == Gob.Name() {
-		return nil
-	}
 	_, err := w.Write([]byte{preambleMagic, c.ID()})
 	return err
 }
 
-// SniffCodec reads a connection's preamble and returns the negotiated codec
-// together with the reader to decode the rest of the stream from (for a
-// legacy gob stream the consumed byte is stitched back in front).
-func SniffCodec(r io.Reader) (Codec, io.Reader, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		return nil, nil, err
+// SniffCodec reads a connection's preamble and returns the negotiated codec.
+// A stream that does not start with the preamble magic, or that declares
+// any codec other than binary, is refused with an error naming the reason.
+func SniffCodec(r io.Reader) (Codec, error) {
+	var pre [2]byte
+	if _, err := io.ReadFull(r, pre[:1]); err != nil {
+		return nil, err
 	}
-	if first[0] != preambleMagic {
-		return Gob, &prefixedReader{prefix: first[0], hasPrefix: true, r: r}, nil
+	if pre[0] != preambleMagic {
+		return nil, fmt.Errorf("%w: first byte 0x%02x is not the binary preamble 0x%02x (a gob-era peer?); upgrade the peer",
+			ErrRefusedPeer, pre[0], preambleMagic)
 	}
-	var id [1]byte
-	if _, err := io.ReadFull(r, id[:]); err != nil {
-		return nil, nil, err
+	if _, err := io.ReadFull(r, pre[1:]); err != nil {
+		return nil, err
 	}
-	c, ok := codecByID(id[0])
-	if !ok {
-		return nil, nil, fmt.Errorf("wire: peer negotiated unknown codec id %d", id[0])
+	switch pre[1] {
+	case Binary.ID():
+		return Binary, nil
+	case retiredGobID:
+		return nil, fmt.Errorf("%w: it negotiated the retired gob codec (id %d); upgrade the peer", ErrRefusedPeer, pre[1])
+	default:
+		return nil, fmt.Errorf("%w: it negotiated unknown codec id %d", ErrRefusedPeer, pre[1])
 	}
-	return c, r, nil
-}
-
-// prefixedReader replays one sniffed byte ahead of the underlying stream.
-type prefixedReader struct {
-	prefix    byte
-	hasPrefix bool
-	r         io.Reader
-}
-
-func (p *prefixedReader) Read(b []byte) (int, error) {
-	if p.hasPrefix {
-		if len(b) == 0 {
-			return 0, nil
-		}
-		b[0] = p.prefix
-		p.hasPrefix = false
-		return 1, nil
-	}
-	return p.r.Read(b)
 }

@@ -25,23 +25,56 @@ func sampleRequest() *Request {
 	}
 }
 
-func TestMarshalRoundTripRequest(t *testing.T) {
-	in := sampleRequest()
-	data, err := Marshal(in)
+// marshalRoundTrip pushes env through the binary payload layer
+// (AppendEnvelope/DecodeEnvelope, no frame).
+func marshalRoundTrip(t *testing.T, env *Envelope) *Envelope {
+	t.Helper()
+	data, err := AppendEnvelope(nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out Request
-	if err := Unmarshal(data, &out); err != nil {
+	out, err := DecodeEnvelope(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, &out) {
-		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, &out)
+	return out
+}
+
+// frameRoundTrip pushes env through one binary encoder/decoder pair (CRC
+// frame, optional compression) and returns the decoded envelope together
+// with the frame's size on the wire.
+func frameRoundTrip(t *testing.T, env *Envelope, compress bool) (*Envelope, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := NewBinaryEncoder(&buf, compress).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	n := buf.Len()
+	out, err := NewBinaryDecoder(&buf).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, n
+}
+
+// bytesEnv carries payload as a repair value, so a test controls the size
+// and compressibility of a frame.
+func bytesEnv(payload []byte) *Envelope {
+	return &Envelope{Seq: 1, Req: &Request{
+		Kind:   KindRepair,
+		Repair: &RepairRequest{Object: "blob", Value: store.Bytes(payload), Version: 1},
+	}}
+}
+
+func TestMarshalRoundTripRequest(t *testing.T) {
+	in := &Envelope{Req: sampleRequest()}
+	if out := marshalRoundTrip(t, in); !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in.Req, out.Req)
 	}
 }
 
 func TestMarshalRoundTripResponseWithValues(t *testing.T) {
-	in := &Response{
+	in := &Envelope{IsResponse: true, Resp: &Response{
 		Status: StatusOK,
 		Read: &ReadResponse{
 			Value:   store.Tuple{store.Int64(5), store.String("x"), store.Bytes{1, 2}},
@@ -49,17 +82,9 @@ func TestMarshalRoundTripResponseWithValues(t *testing.T) {
 			Invalid: []store.ObjectID{"a"},
 			Stats:   map[store.ObjectID]float64{"a": 2.5},
 		},
-	}
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Response
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, &out) {
-		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, &out)
+	}}
+	if out := marshalRoundTrip(t, in); !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in.Resp, out.Resp)
 	}
 }
 
@@ -67,15 +92,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		for _, size := range []int{0, 1, CompressThreshold, CompressThreshold + 1, 100000} {
 			payload := bytes.Repeat([]byte("abcdefgh"), size/8+1)[:size]
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, payload, compress); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadFrame(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, payload) {
+			got, _ := frameRoundTrip(t, bytesEnv(payload), compress)
+			if !bytes.Equal(got.Req.Repair.Value.(store.Bytes), payload) {
 				t.Fatalf("compress=%v size=%d: payload mismatch", compress, size)
 			}
 		}
@@ -83,16 +101,11 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestCompressionShrinksRedundantPayload(t *testing.T) {
-	payload := bytes.Repeat([]byte("warehouse/1 district/1 "), 200)
-	var plain, comp bytes.Buffer
-	if err := WriteFrame(&plain, payload, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&comp, payload, true); err != nil {
-		t.Fatal(err)
-	}
-	if comp.Len() >= plain.Len() {
-		t.Fatalf("compressed frame (%d) not smaller than plain (%d)", comp.Len(), plain.Len())
+	env := bytesEnv(bytes.Repeat([]byte("warehouse/1 district/1 "), 200))
+	_, plain := frameRoundTrip(t, env, false)
+	_, comp := frameRoundTrip(t, env, true)
+	if comp >= plain {
+		t.Fatalf("compressed frame (%d) not smaller than plain (%d)", comp, plain)
 	}
 }
 
@@ -108,37 +121,31 @@ func TestIncompressiblePayloadKeptPlain(t *testing.T) {
 		payload[i] = byte(x)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload, true); err != nil {
+	if err := NewBinaryEncoder(&buf, true).Encode(bytesEnv(payload)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	if buf.Bytes()[4]&binFlagCompressed != 0 {
+		t.Fatal("incompressible payload sent compressed")
+	}
+	got, err := NewBinaryDecoder(&buf).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
+	if !bytes.Equal(got.Req.Repair.Value.(store.Bytes), payload) {
 		t.Fatal("round trip mismatch")
 	}
 }
 
 func TestReadFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0})
-	if _, err := ReadFrame(&buf); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	hdr := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0}
+	if _, err := NewBinaryDecoder(bytes.NewReader(hdr)).Decode(); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("err = %v, want frame-size error", err)
 	}
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	in := &Envelope{Seq: 42, Req: sampleRequest()}
-	var buf bytes.Buffer
-	if err := WriteEnvelope(&buf, in, true); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadEnvelope(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
+	if out, _ := frameRoundTrip(t, in, true); !reflect.DeepEqual(in, out) {
 		t.Fatalf("mismatch:\n in=%+v\nout=%+v", in, out)
 	}
 }
@@ -187,24 +194,16 @@ func TestCloneNil(t *testing.T) {
 }
 
 func TestDecisionAndPrepareRoundTrip(t *testing.T) {
-	in := &Request{
+	in := &Envelope{Req: &Request{
 		Kind: KindDecision,
 		TxID: "tx-9",
 		Decision: &DecisionRequest{
 			Commit: true,
 			Writes: []store.WriteDesc{{ID: "a", Value: store.Int64(1), NewVersion: 4}},
 		},
-	}
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Request
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, &out) {
-		t.Fatalf("mismatch: %+v vs %+v", in, &out)
+	}}
+	if out := marshalRoundTrip(t, in); !reflect.DeepEqual(in, out) {
+		t.Fatalf("mismatch: %+v vs %+v", in.Req, out.Req)
 	}
 }
 
@@ -224,14 +223,14 @@ func TestStatusAndKindStrings(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	err := quick.Check(func(payload []byte, compress bool) bool {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload, compress); err != nil {
+		if err := NewBinaryEncoder(&buf, compress).Encode(bytesEnv(payload)); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := NewBinaryDecoder(&buf).Decode()
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, payload)
+		return bytes.Equal(got.Req.Repair.Value.(store.Bytes), payload)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
