@@ -404,10 +404,7 @@ func BenchmarkTransport(b *testing.B) {
 		run(b, c.Runtime(1, dtm.Config{Seed: 1}))
 	})
 	b.Run("tcp", func(b *testing.B) {
-		c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour, TCP: true})
 		defer c.Close()
 		c.Seed(seed())
 		run(b, c.Runtime(1, dtm.Config{Seed: 1}))
@@ -421,10 +418,7 @@ func BenchmarkTransport(b *testing.B) {
 // the batched RPC pipeline buys on real sockets.
 func BenchmarkPrefetchVsSerialReads(b *testing.B) {
 	const k = 8
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour, TCP: true})
 	defer c.Close()
 	c.Seed(bank.New(bank.Config{Branches: 8, Accounts: 64}).SeedObjects())
 
@@ -485,10 +479,7 @@ func BenchmarkPrefetchTransferTCP(b *testing.B) {
 		{"prefetch", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
-			if err != nil {
-				b.Fatal(err)
-			}
+			c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour, TCP: true})
 			defer c.Close()
 			c.Seed(bank.New(bank.Config{Branches: 8, Accounts: 64}).SeedObjects())
 			rt := c.Runtime(1, dtm.Config{Seed: 1})

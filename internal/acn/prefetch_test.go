@@ -146,10 +146,7 @@ func TestPrefetchSkipsDataDependentRefs(t *testing.T) {
 // server-side sub-dispatch all sit on the path.
 func TestPrefetchOverTCP(t *testing.T) {
 	an := analyze(t)
-	tc, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tc := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour, TCP: true})
 	defer tc.Close()
 	objs := map[store.ObjectID]store.Value{}
 	for i := 0; i < 2; i++ {

@@ -1,8 +1,10 @@
-// Package cluster assembles an in-process QR-DTM deployment: N quorum-node
-// servers arranged in a logical ternary tree, joined by the simulated
-// channel network, plus factories for client runtimes. It stands in for the
-// paper's 30-node testbed (10 servers, up to 20 client nodes on a 1 Gbps
-// switched network); the network latency is injected per message.
+// Package cluster assembles a QR-DTM deployment: N quorum-node servers
+// arranged in a logical ternary tree, joined by one transport.Network, plus
+// factories for client runtimes. It stands in for the paper's 30-node
+// testbed (10 servers, up to 20 client nodes on a 1 Gbps switched network).
+// The default network is the simulated channel network, which injects the
+// latency per message; Config.TCP puts every node behind a real loopback
+// listener instead, and every method works the same on both.
 package cluster
 
 import (
@@ -37,8 +39,13 @@ type Config struct {
 	// on a durable cluster each shard keeps its WAL under
 	// WALDir/shard-s/node-i. 0 or 1 leaves the cluster unsharded.
 	Shards int
-	// Network tunes the simulated interconnect.
+	// Network tunes the simulated interconnect (ignored with TCP).
 	Network transport.ChannelConfig
+	// TCP, when set, joins the nodes over loopback TCP instead of the
+	// simulated network: each node listens on 127.0.0.1, every message
+	// crosses a real connection through the wire codec, and each client
+	// runtime dials connections of its own.
+	TCP bool
 	// StatsWindow is the contention observation window on every node.
 	StatsWindow time.Duration
 	// ProtectTTL, when positive, enables lease expiry of protections so the
@@ -49,8 +56,8 @@ type Config struct {
 	// WALDir, when non-empty, gives every node a durable commit log under
 	// WALDir/node-i — the full write path (group-commit fsync before ack)
 	// runs even on the in-process transport, so benchmarks measure the
-	// durability cost without real networking. New returns an error only
-	// through NewDurable; New panics on a WAL that cannot open.
+	// durability cost without real networking. NewDurable returns a WAL
+	// that cannot open as an error; New panics on it.
 	WALDir string
 	// FsyncInterval is the group-commit accumulation window (0: wal
 	// default; negative: fsync every append).
@@ -90,10 +97,10 @@ type Config struct {
 	NoForensics bool
 }
 
-// Cluster is a running in-process deployment.
+// Cluster is a running deployment.
 type Cluster struct {
 	Tree  *quorum.Tree
-	Net   *transport.ChannelNetwork
+	Net   transport.Network
 	Nodes []*server.Node
 	// Shards is the cluster's shard map (nil when unsharded).
 	Shards *shard.Map
@@ -121,30 +128,32 @@ func NewDurable(cfg Config) (*Cluster, error) {
 	if cfg.Degree == 0 {
 		cfg.Degree = 3
 	}
-	c := &Cluster{
-		Tree: quorum.NewTree(cfg.Servers, cfg.Degree),
-		Net:  transport.NewChannelNetwork(cfg.Network),
-		cfg:  cfg,
+	c := &Cluster{Tree: quorum.NewTree(cfg.Servers, cfg.Degree), cfg: cfg}
+	if cfg.TCP {
+		c.Net = transport.NewTCPNetwork()
+	} else {
+		c.Net = transport.NewChannelNetwork(cfg.Network)
 	}
 	if cfg.Shards > 1 {
 		c.Shards = shard.NewUniform(cfg.Servers, cfg.Shards, cfg.Degree)
 	}
 	for i := 0; i < cfg.Servers; i++ {
-		n, err := c.buildNode(quorum.NodeID(i))
+		n, err := c.startNode(quorum.NodeID(i))
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
 		c.Nodes = append(c.Nodes, n)
-		c.Net.Register(n.ID(), n.Handle)
 	}
 	return c, nil
 }
 
-// buildNode constructs one quorum node per the cluster config, opening and
-// replaying its WAL on a durable cluster (used at startup and by
-// CrashRestart).
-func (c *Cluster) buildNode(id quorum.NodeID) (*server.Node, error) {
+// startNode builds node id and puts it on the network in the recovery
+// handshake order qracn-node uses: a durable node is reachable but refuses
+// work with StatusUnavailable (clients fail over) while it replays its WAL,
+// and opens for service only once version-current. Used at startup and by
+// CrashRestart.
+func (c *Cluster) startNode(id quorum.NodeID) (*server.Node, error) {
 	cfg := c.cfg
 	scfg := server.Config{
 		StatsWindow:   cfg.StatsWindow,
@@ -162,58 +171,57 @@ func (c *Cluster) buildNode(id quorum.NodeID) (*server.Node, error) {
 	if cfg.TraceCapacity > 0 {
 		scfg.Tracer = trace.New(cfg.TraceCapacity)
 	}
-	var rec *wal.Recovered
-	if cfg.WALDir != "" {
-		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("node-%d", id))
-		if c.Shards != nil {
-			// Per-shard WAL layout: each quorum group owns a directory, so
-			// an operator (or qracn-inspect wal) can reason about one
-			// shard's durable state in isolation.
-			dir = filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", c.Shards.HomeOf(id)), fmt.Sprintf("node-%d", id))
-		}
-		log, r, err := wal.Open(dir, wal.Options{FsyncInterval: cfg.FsyncInterval})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d wal: %w", id, err)
-		}
-		scfg.WAL = log
-		rec = r
-	}
 	n := server.NewNode(id, scfg)
-	if rec != nil {
-		// FinishRecovery rather than a bare Restore: in-doubt prepares
-		// re-enter the termination protocol with their protections, and
-		// recovered decisions answer peers' status queries.
-		n.FinishRecovery(rec)
-	}
 	if cfg.ProtectTTL > 0 {
 		n.Store().SetProtectTTL(cfg.ProtectTTL, cfg.Now)
 	}
+	durable := cfg.WALDir != ""
+	if durable {
+		n.BeginRecovery()
+	}
+	c.Net.Register(id, n.Handle)
+	c.Net.SetDown(id, false)
+	if !durable {
+		return n, nil
+	}
+	dir := filepath.Join(cfg.WALDir, fmt.Sprintf("node-%d", id))
+	if c.Shards != nil {
+		// Per-shard WAL layout: each quorum group owns a directory, so an
+		// operator (or qracn-inspect wal) can reason about one shard's
+		// durable state in isolation.
+		dir = filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", c.Shards.HomeOf(id)), fmt.Sprintf("node-%d", id))
+	}
+	log, rec, err := wal.Open(dir, wal.Options{FsyncInterval: cfg.FsyncInterval})
+	if err != nil {
+		c.Net.SetDown(id, true)
+		return nil, fmt.Errorf("cluster: node %d wal: %w", id, err)
+	}
+	n.AttachWAL(log)
+	// FinishRecovery rather than a bare Restore: in-doubt prepares re-enter
+	// the termination protocol with their protections, and recovered
+	// decisions answer peers' status queries.
+	n.FinishRecovery(rec)
 	return n, nil
 }
 
-// CrashRestart simulates a participant process crash and cold restart on a
-// durable channel cluster: the node's WAL is crashed (the unsynced tail is
-// lost, exactly what a power cut leaves), a fresh node replays snapshot and
-// log — rebuilding its in-doubt table — and swaps into the network in place
-// of the old one. Fails on a volatile cluster, which has nothing to recover
-// from.
+// CrashRestart simulates a process crash and cold restart of node id. On a
+// durable cluster the node's WAL is crashed without a final flush (the
+// unsynced tail is lost, exactly what a power cut leaves) and a fresh node
+// replays snapshot and log — rebuilding its in-doubt table — behind the
+// recovery handshake. On a volatile cluster the node comes back with an
+// empty replica, the case read-repair and anti-entropy exist for.
 func (c *Cluster) CrashRestart(id quorum.NodeID) error {
-	if c.cfg.WALDir == "" {
-		return fmt.Errorf("cluster: CrashRestart needs a durable cluster (WALDir)")
-	}
 	old := c.Nodes[id]
 	old.StopResolver()
 	c.Net.SetDown(id, true)
 	if w := old.WAL(); w != nil {
 		w.Crash()
 	}
-	n, err := c.buildNode(id)
+	n, err := c.startNode(id)
 	if err != nil {
 		return err
 	}
 	c.Nodes[id] = n
-	c.Net.Register(id, n.Handle)
-	c.Net.SetDown(id, false)
 	if c.resolversOn {
 		n.StartResolver(c.Net, c.resolverPoll)
 	}
@@ -223,7 +231,10 @@ func (c *Cluster) CrashRestart(id quorum.NodeID) error {
 // Seed installs objects on every replica that owns them: full replication
 // when unsharded, the owning quorum group's members only under a shard map
 // (foreign replicas must never hold a shard's objects, or stale copies
-// could answer reads routed by a future map version).
+// could answer reads routed by a future map version). Seed does no I/O: it
+// writes no checkpoint, so on a durable cluster the seeded objects reach
+// disk only with later writes, repairs or an explicit Node.Checkpoint. A
+// test that crashes the whole cluster before then checkpoints first.
 func (c *Cluster) Seed(objs map[store.ObjectID]store.Value) {
 	for _, n := range c.Nodes {
 		cp := make(map[store.ObjectID]store.Value, len(objs))
@@ -254,20 +265,15 @@ func (c *Cluster) clampDecide(cfg *dtm.Config) {
 }
 
 // Runtime creates a client runtime attached to this cluster. Fields of cfg
-// that identify the cluster (Tree, Client, Alive) are filled in; the rest
-// are taken as given, except that DecideTimeout is clamped below the
-// cluster's TTL-abort deadline. The network's liveness oracle drives quorum
-// selection (composed with the runtime's own failure detector), keeping
-// fault tests deterministic.
+// that identify the cluster (Tree, Shards, Client, Alive) are filled in;
+// the rest are taken as given, except that DecideTimeout is clamped below
+// the cluster's TTL-abort deadline. The network's liveness oracle drives
+// quorum selection (composed with the runtime's own failure detector),
+// keeping fault tests deterministic. On TCP the runtime gets connections of
+// its own, which count reconnects in its TransportRetries and close with
+// the cluster. Safe for concurrent use.
 func (c *Cluster) Runtime(clientSeed int, cfg dtm.Config) *dtm.Runtime {
-	cfg.Tree = c.Tree
-	cfg.Shards = c.Shards
-	cfg.Client = c.Net
-	cfg.Alive = c.Net.Alive
-	cfg.ClientSeed = clientSeed
-	c.applyForensics(&cfg)
-	c.clampDecide(&cfg)
-	return dtm.New(cfg)
+	return c.runtime(clientSeed, cfg, c.Net.Alive)
 }
 
 // applyForensics propagates the cluster's forensics settings to a client
@@ -286,17 +292,30 @@ func (c *Cluster) applyForensics(cfg *dtm.Config) {
 // exactly as on a real transport where no oracle exists. Chaos tests use it
 // to exercise detector-driven failover end to end.
 func (c *Cluster) DetectorRuntime(clientSeed int, cfg dtm.Config) *dtm.Runtime {
+	return c.runtime(clientSeed, cfg, nil)
+}
+
+func (c *Cluster) runtime(clientSeed int, cfg dtm.Config, alive quorum.AliveFunc) *dtm.Runtime {
 	cfg.Tree = c.Tree
 	cfg.Shards = c.Shards
 	cfg.Client = c.Net
-	cfg.Alive = nil
+	cfg.Alive = alive
 	cfg.ClientSeed = clientSeed
 	c.applyForensics(&cfg)
 	c.clampDecide(&cfg)
-	return dtm.New(cfg)
+	tcp, ok := c.Net.(*transport.TCPNetwork)
+	if !ok {
+		return dtm.New(cfg)
+	}
+	client := tcp.NewClient()
+	cfg.Client = client
+	rt := dtm.New(cfg)
+	client.SetRetryCounter(&rt.Metrics().TransportRetries)
+	return rt
 }
 
-// Kill marks a server unreachable.
+// Kill marks a server unreachable (on TCP: its listener and connections
+// close, so clients see refused dials). The node keeps its state.
 func (c *Cluster) Kill(id quorum.NodeID) { c.Net.SetDown(id, true) }
 
 // Revive marks a server reachable again. Its replica kept its state (a
@@ -324,7 +343,8 @@ func (c *Cluster) ResolveAll(ctx context.Context) int {
 	return resolved
 }
 
-// Close shuts the network down and cleanly closes any commit logs.
+// Close shuts the network down (with every client connection it made) and
+// cleanly closes any commit logs.
 func (c *Cluster) Close() {
 	for _, n := range c.Nodes {
 		n.StopResolver()
@@ -339,11 +359,11 @@ func (c *Cluster) Close() {
 
 // WALStats sums the commit-log counters across all nodes (zero value on a
 // volatile cluster).
-func (c *Cluster) WALStats() dtm.WALStats {
-	var out dtm.WALStats
+func (c *Cluster) WALStats() wal.Stats {
+	var out wal.Stats
 	for _, n := range c.Nodes {
 		if w := n.WAL(); w != nil {
-			out.Add(walStatsFor(w))
+			out.Add(w.Stats())
 		}
 	}
 	return out
@@ -351,20 +371,10 @@ func (c *Cluster) WALStats() dtm.WALStats {
 
 // Resolution sums the termination-protocol counters across all nodes (the
 // InDoubt field is the cluster-wide count of currently undecided votes).
-func (c *Cluster) Resolution() dtm.ResolutionStats {
-	var out dtm.ResolutionStats
+func (c *Cluster) Resolution() server.ResolutionStats {
+	var out server.ResolutionStats
 	for _, n := range c.Nodes {
-		s := n.ResolutionStats()
-		out.Add(dtm.ResolutionStats{
-			InDoubt:            s.InDoubt,
-			RecoveredInDoubt:   s.RecoveredInDoubt,
-			CoordinatorDecided: s.CoordinatorDecided,
-			PeerCommits:        s.PeerCommits,
-			PeerAborts:         s.PeerAborts,
-			TTLAborts:          s.TTLAborts,
-			StatusQueries:      s.StatusQueries,
-			ResolveForwards:    s.ResolveForwards,
-		})
+		out.Add(n.ResolutionStats())
 	}
 	return out
 }

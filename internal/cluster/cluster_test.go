@@ -60,11 +60,8 @@ func TestKillReviveAffectsAlive(t *testing.T) {
 	}
 }
 
-func TestTCPClusterEndToEnd(t *testing.T) {
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestTCPEndToEnd(t *testing.T) {
+	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour, TCP: true})
 	defer c.Close()
 	c.Seed(map[store.ObjectID]store.Value{"x": store.Int64(5)})
 
@@ -98,11 +95,8 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 }
 
-func TestTCPClusterConcurrentClients(t *testing.T) {
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour, Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestTCPConcurrentClients(t *testing.T) {
+	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour, TCP: true})
 	defer c.Close()
 	c.Seed(map[store.ObjectID]store.Value{"ctr": store.Int64(0)})
 
@@ -151,14 +145,11 @@ func TestTCPClusterConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestTCPClusterACNWorkload runs the full ACN stack — analysis, executor,
+// TestTCPACNWorkload runs the full ACN stack — analysis, executor,
 // controller with stats fetch — over real TCP connections.
-func TestTCPClusterACNWorkload(t *testing.T) {
+func TestTCPACNWorkload(t *testing.T) {
 	w := bank.New(bank.Config{Branches: 4, Accounts: 16})
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: 50 * time.Millisecond, TCP: true})
 	defer c.Close()
 	c.Seed(w.SeedObjects())
 

@@ -12,6 +12,7 @@ import (
 	"qracn/internal/cluster"
 	"qracn/internal/dtm"
 	"qracn/internal/quorum"
+	"qracn/internal/server"
 	"qracn/internal/store"
 	"qracn/internal/transport"
 	"qracn/internal/wire"
@@ -66,7 +67,7 @@ func (k *killClient) sent() int {
 // participant, then drives the termination protocol until the in-doubt
 // tables drain and audits the surviving state. It returns the cluster-wide
 // resolution counters for the aggregate report.
-func coordKillScenario(t *testing.T, killAt int, afterSend, restartParticipant bool) dtm.ResolutionStats {
+func coordKillScenario(t *testing.T, killAt int, afterSend, restartParticipant bool) server.ResolutionStats {
 	t.Helper()
 	const (
 		accounts = 4
@@ -241,7 +242,7 @@ func TestChaosCoordinatorKillMatrix(t *testing.T) {
 	t.Logf("matrix: %d protocol messages per transfer, %d scenarios",
 		messages, 2*2*messages)
 
-	var agg dtm.ResolutionStats
+	var agg server.ResolutionStats
 	scenarios := 0
 	for _, restart := range []bool{false, true} {
 		for _, afterSend := range []bool{false, true} {
@@ -269,10 +270,10 @@ func TestChaosCoordinatorKillMatrix(t *testing.T) {
 
 	if path := os.Getenv("QRACN_COORDKILL_REPORT"); path != "" {
 		report := struct {
-			Messages   int                 `json:"messages"`
-			Scenarios  int                 `json:"scenarios"`
-			Conserved  bool                `json:"conserved"`
-			Resolution dtm.ResolutionStats `json:"resolution"`
+			Messages   int                    `json:"messages"`
+			Scenarios  int                    `json:"scenarios"`
+			Conserved  bool                   `json:"conserved"`
+			Resolution server.ResolutionStats `json:"resolution"`
 		}{messages, scenarios, !t.Failed(), agg}
 		data, _ := json.MarshalIndent(report, "", "  ")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

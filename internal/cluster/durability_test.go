@@ -15,7 +15,6 @@ import (
 	"qracn/internal/health"
 	"qracn/internal/quorum"
 	"qracn/internal/store"
-	"qracn/internal/transport"
 	"qracn/internal/wal"
 )
 
@@ -47,41 +46,58 @@ func subTransfer(ctx context.Context, rt *dtm.Runtime, accounts, from, to int) e
 // cluster-max version of every object. Anti-entropy transfers are logged
 // durably (the server appends them before returning), so a converged
 // replica stays converged across a crash.
-func converge(t *testing.T, c *cluster.TCPCluster) {
+func converge(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
-	client := transport.NewTCPClient(c.Addrs(), false)
-	defer client.Close()
 	ctx := context.Background()
 	for _, n := range c.Nodes {
 		for _, peer := range c.Nodes {
 			if peer.ID() == n.ID() {
 				continue
 			}
-			if _, err := n.RepairFrom(ctx, client, peer.ID()); err != nil {
+			if _, err := n.RepairFrom(ctx, c.Net, peer.ID()); err != nil {
 				t.Fatalf("anti-entropy node %d <- %d: %v", n.ID(), peer.ID(), err)
 			}
 		}
 	}
 }
 
-// TestTCPDurableColdRestart is the PR's acceptance scenario: a correlated
-// full-cluster crash (every process killed, commit logs abandoned without a
-// final flush) followed by cold restarts. With the WAL on, every node must
-// replay snapshot+log and serve its pre-crash, quorum-max versions
-// immediately — before any client traffic — so a subsequent read sweep
-// performs zero read-repair pushes and the bank invariant holds.
+// bothTransports runs f as two subtests, on the channel network and over
+// loopback TCP. The crash tests that call it keep the TestTCP names they had
+// when they ran over TCP only, so CI selections and recorded results still
+// match them.
+func bothTransports(t *testing.T, f func(t *testing.T, tcp bool)) {
+	for _, tc := range []struct {
+		name string
+		tcp  bool
+	}{{"channel", false}, {"tcp", true}} {
+		t.Run(tc.name, func(t *testing.T) { f(t, tc.tcp) })
+	}
+}
+
+// TestTCPDurableColdRestart is the durability acceptance scenario: a
+// correlated full-cluster crash (every process killed, commit logs
+// abandoned without a final flush) followed by cold restarts. With the WAL
+// on, every node must replay snapshot+log and serve its pre-crash,
+// quorum-max versions immediately — before any client traffic — so a
+// subsequent read sweep performs zero read-repair pushes and the bank
+// invariant holds.
 func TestTCPDurableColdRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("durability test skipped in -short mode")
 	}
+	bothTransports(t, testTCPDurableColdRestart)
+}
+
+func testTCPDurableColdRestart(t *testing.T, tcp bool) {
 	const (
 		accounts = 16
 		initial  = int64(1_000)
 	)
-	c, err := cluster.NewTCP(cluster.TCPConfig{
+	c, err := cluster.NewDurable(cluster.Config{
 		Servers:     10,
 		StatsWindow: time.Hour,
 		WALDir:      t.TempDir(),
+		TCP:         tcp,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +108,14 @@ func TestTCPDurableColdRestart(t *testing.T) {
 		objs[store.ID("acct", i)] = store.Int64(initial)
 	}
 	c.Seed(objs)
+	// Seed writes nothing to disk, and the workload may leave an account
+	// untouched: checkpoint the seeded baseline so the whole-cluster crash
+	// below cannot lose it.
+	for _, n := range c.Nodes {
+		if err := n.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	rt := c.Runtime(1, dtm.Config{
 		Seed:           1,
@@ -140,7 +164,7 @@ func TestTCPDurableColdRestart(t *testing.T) {
 		c.Kill(n.ID())
 	}
 	for _, n := range c.Nodes {
-		if err := c.Restart(n.ID(), true); err != nil {
+		if err := c.CrashRestart(n.ID()); err != nil {
 			t.Fatalf("restart node %d: %v", n.ID(), err)
 		}
 	}
@@ -149,7 +173,7 @@ func TestTCPDurableColdRestart(t *testing.T) {
 	// the pre-crash version and balance.
 	for _, n := range c.Nodes {
 		if n.Recovering() {
-			t.Fatalf("node %d still recovering after Restart returned", n.ID())
+			t.Fatalf("node %d still recovering after CrashRestart returned", n.ID())
 		}
 		for id, w := range want {
 			v, ver, err := n.Store().Get(id)
@@ -163,7 +187,7 @@ func TestTCPDurableColdRestart(t *testing.T) {
 		}
 	}
 	ws := c.WALStats()
-	if ws.ReplayedSnapshots == 0 && ws.ReplayedRecords == 0 {
+	if ws.ReplayedSnapshot == 0 && ws.ReplayedRecords == 0 {
 		t.Fatal("restart recovered nothing from the logs")
 	}
 
@@ -196,7 +220,7 @@ func TestTCPDurableColdRestart(t *testing.T) {
 		t.Fatalf("read sweep pushed %d repairs; durable restart should need none", m.Repairs)
 	}
 	t.Logf("durable restart: replayed %d snapshot objects + %d log records across %d nodes",
-		ws.ReplayedSnapshots, ws.ReplayedRecords, len(c.Nodes))
+		ws.ReplayedSnapshot, ws.ReplayedRecords, len(c.Nodes))
 }
 
 // TestTCPVolatileColdRestartLosesState is the -no-wal contrast arm: without
@@ -208,26 +232,25 @@ func TestTCPVolatileColdRestartLosesState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("durability test skipped in -short mode")
 	}
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Seed(map[store.ObjectID]store.Value{store.ID("acct", 0): store.Int64(7)})
+	bothTransports(t, func(t *testing.T, tcp bool) {
+		c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour, TCP: tcp})
+		defer c.Close()
+		c.Seed(map[store.ObjectID]store.Value{store.ID("acct", 0): store.Int64(7)})
 
-	for _, n := range c.Nodes {
-		c.Kill(n.ID())
-	}
-	for _, n := range c.Nodes {
-		if err := c.Restart(n.ID(), true); err != nil {
-			t.Fatal(err)
+		for _, n := range c.Nodes {
+			c.Kill(n.ID())
 		}
-	}
-	for _, n := range c.Nodes {
-		if v, ok := n.Store().Version(store.ID("acct", 0)); ok {
-			t.Fatalf("volatile node %d kept version %d across a cold restart", n.ID(), v)
+		for _, n := range c.Nodes {
+			if err := c.CrashRestart(n.ID()); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+		for _, n := range c.Nodes {
+			if v, ok := n.Store().Version(store.ID("acct", 0)); ok {
+				t.Fatalf("volatile node %d kept version %d across a cold restart", n.ID(), v)
+			}
+		}
+	})
 }
 
 // TestTCPRecoveringNodeHandshake pins the recovery handshake: a node in the
@@ -239,10 +262,7 @@ func TestTCPRecoveringNodeHandshake(t *testing.T) {
 		t.Skip("durability test skipped in -short mode")
 	}
 	const accounts = 8
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 10, StatsWindow: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour, TCP: true})
 	defer c.Close()
 	objs := map[store.ObjectID]store.Value{}
 	for i := 0; i < accounts; i++ {
@@ -251,7 +271,7 @@ func TestTCPRecoveringNodeHandshake(t *testing.T) {
 	c.Seed(objs)
 
 	det := health.New(health.Config{SuspectAfter: 3, ProbeInterval: 50 * time.Millisecond})
-	rt := c.Runtime(1, dtm.Config{
+	rt := c.DetectorRuntime(1, dtm.Config{
 		Seed:           1,
 		Health:         det,
 		RequestTimeout: time.Second,

@@ -10,6 +10,7 @@ import (
 	"qracn/internal/forensics"
 	"qracn/internal/quorum"
 	"qracn/internal/store"
+	"qracn/internal/trace"
 	"qracn/internal/wire"
 )
 
@@ -188,5 +189,72 @@ func TestForensicsFetchRPC(t *testing.T) {
 	}
 	if offSnap.TotalAborts != 0 || len(offSnap.Aborts) != 0 {
 		t.Fatalf("disabled cluster leaked events: %+v", offSnap)
+	}
+}
+
+// TestTCPForensicsFsyncSpans runs contended transfers on a durable,
+// traced cluster over loopback TCP and reads back every cluster-wide view:
+// the servers' conflict witnesses, the group-commit fsync waits, the serve
+// spans of the traced client, and a termination pass over the network.
+func TestTCPForensicsFsyncSpans(t *testing.T) {
+	c, err := cluster.NewDurable(cluster.Config{
+		Servers:       4,
+		StatsWindow:   time.Hour,
+		WALDir:        t.TempDir(),
+		TraceCapacity: 4096,
+		TCP:           true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Seed(map[store.ObjectID]store.Value{"a": store.Int64(100), "b": store.Int64(100)})
+
+	rt := c.Runtime(1, dtm.Config{Seed: 1, Tracer: trace.New(4096), TraceSample: 1})
+	other := c.Runtime(2, dtm.Config{Seed: 2})
+	ctx := context.Background()
+	move := func(tx *dtm.Tx, from, to store.ObjectID) error {
+		fv, err := tx.Read(from)
+		if err != nil {
+			return err
+		}
+		tv, err := tx.Read(to)
+		if err != nil {
+			return err
+		}
+		if err := tx.Write(from, store.Int64(store.AsInt64(fv)-1)); err != nil {
+			return err
+		}
+		return tx.Write(to, store.Int64(store.AsInt64(tv)+1))
+	}
+	for i := 0; i < 3; i++ {
+		attempts := 0
+		if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
+			attempts++
+			if err := move(tx, "a", "b"); err != nil {
+				return err
+			}
+			if attempts > 1 {
+				return nil
+			}
+			// A competing transfer commits after this attempt's reads, so
+			// its prepare fails validation on the servers and retries.
+			return other.Atomic(ctx, func(o *dtm.Tx) error { return move(o, "b", "a") })
+		}); err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+	}
+
+	if snap := c.Forensics(10); snap.TotalAborts == 0 {
+		t.Error("Forensics recorded no server-side conflict")
+	}
+	if n := c.FsyncWait().Count(); n == 0 {
+		t.Error("FsyncWait recorded no group-commit wait on a durable cluster")
+	}
+	if len(c.Spans("")) == 0 {
+		t.Error("Spans returned no serve span for a traced client")
+	}
+	if n := c.ResolveAll(ctx); n != 0 || c.Resolution().InDoubt != 0 {
+		t.Errorf("ResolveAll resolved %d, %d still in doubt; want nothing to resolve", n, c.Resolution().InDoubt)
 	}
 }

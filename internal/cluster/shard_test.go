@@ -9,6 +9,7 @@ import (
 	"qracn/internal/cluster"
 	"qracn/internal/dtm"
 	"qracn/internal/quorum"
+	"qracn/internal/server"
 	"qracn/internal/shard"
 	"qracn/internal/store"
 	"qracn/internal/transport"
@@ -180,7 +181,7 @@ func TestShardMapFetchRPC(t *testing.T) {
 // until every group's in-doubt table drains and audits conservation across
 // both shards. Resolution is the only healing mechanism: read-repair is
 // disabled throughout.
-func crossShardKillScenario(t *testing.T, killAt int, afterSend, restartParticipants bool) dtm.ResolutionStats {
+func crossShardKillScenario(t *testing.T, killAt int, afterSend, restartParticipants bool) server.ResolutionStats {
 	t.Helper()
 	const (
 		initial = int64(1_000)
@@ -368,7 +369,7 @@ func TestChaosCrossShardCoordinatorKillMatrix(t *testing.T) {
 	t.Logf("cross-shard matrix: %d protocol messages per transfer, %d scenarios",
 		messages, 2*2*messages)
 
-	var agg dtm.ResolutionStats
+	var agg server.ResolutionStats
 	scenarios := 0
 	for _, restart := range []bool{false, true} {
 		for _, afterSend := range []bool{false, true} {

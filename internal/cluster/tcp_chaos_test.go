@@ -15,8 +15,8 @@ import (
 	"qracn/internal/store"
 )
 
-// transfer moves 3 units between two accounts; the bank workload both TCP
-// chaos tests drive.
+// transfer moves 3 units between two accounts; the bank workload the
+// kill/restart tests drive.
 func transfer(ctx context.Context, rt *dtm.Runtime, accounts, from, to int) error {
 	return rt.Atomic(ctx, func(tx *dtm.Tx) error {
 		if err := tx.Prefetch(store.ID("acct", from), store.ID("acct", to)); err != nil {
@@ -37,23 +37,24 @@ func transfer(ctx context.Context, rt *dtm.Runtime, accounts, from, to int) erro
 	})
 }
 
-// TestTCPKillRestartRepair kills a real TCP listener mid-workload, checks the
-// workload keeps committing through detector-driven failover, then
-// cold-restarts the node (empty replica — its state died with the process)
-// and checks read-repair brings it version-current and the detector readmits
-// it, all without operator action.
+// TestTCPKillRestartRepair kills a node mid-workload (on TCP: its real
+// listener), checks the workload keeps committing through detector-driven
+// failover, then cold-restarts the node (empty replica — its state died with
+// the process) and checks read-repair brings it version-current and the
+// detector readmits it, all without operator action.
 func TestTCPKillRestartRepair(t *testing.T) {
 	if testing.Short() {
-		t.Skip("TCP chaos test skipped in -short mode")
+		t.Skip("kill/restart chaos test skipped in -short mode")
 	}
+	bothTransports(t, testTCPKillRestartRepair)
+}
+
+func testTCPKillRestartRepair(t *testing.T, tcp bool) {
 	const (
 		accounts = 8
 		initial  = int64(1_000)
 	)
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 10, StatsWindow: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour, TCP: tcp})
 	defer c.Close()
 	objs := map[store.ObjectID]store.Value{}
 	for i := 0; i < accounts; i++ {
@@ -62,7 +63,7 @@ func TestTCPKillRestartRepair(t *testing.T) {
 	c.Seed(objs)
 
 	det := health.New(health.Config{SuspectAfter: 3, ProbeInterval: 50 * time.Millisecond})
-	rt := c.Runtime(1, dtm.Config{
+	rt := c.DetectorRuntime(1, dtm.Config{
 		Seed:           1,
 		Health:         det,
 		RequestTimeout: time.Second,
@@ -94,7 +95,7 @@ func TestTCPKillRestartRepair(t *testing.T) {
 
 	// Cold restart: the process is back on its old address with nothing in
 	// its store.
-	if err := c.Restart(victim, true); err != nil {
+	if err := c.CrashRestart(victim); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := c.Nodes[victim].Store().Version(store.ID("acct", 0)); ok {
@@ -168,7 +169,7 @@ func TestTCPKillRestartRepair(t *testing.T) {
 	if m.Repairs == 0 {
 		t.Fatal("restarted replica converged without any recorded repair push")
 	}
-	t.Logf("tcp kill/restart: failovers=%d suspicions=%d probes=%d readmissions=%d repairs=%d",
+	t.Logf("kill/restart: failovers=%d suspicions=%d probes=%d readmissions=%d repairs=%d",
 		m.Failovers, m.Suspicions, m.Probes, m.Readmissions, m.Repairs)
 }
 
@@ -186,14 +187,12 @@ func TestTCPRecoveryThroughput(t *testing.T) {
 		clients  = 4
 		warmup   = 800 * time.Millisecond
 	)
-	c, err := cluster.NewTCP(cluster.TCPConfig{
+	c := cluster.New(cluster.Config{
 		Servers:     10,
 		StatsWindow: time.Hour,
 		ProtectTTL:  100 * time.Millisecond, // heal protections of clients stopped mid-commit
+		TCP:         true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer c.Close()
 	objs := map[store.ObjectID]store.Value{}
 	for i := 0; i < accounts; i++ {
@@ -207,7 +206,7 @@ func TestTCPRecoveryThroughput(t *testing.T) {
 	var wg sync.WaitGroup
 	rts := make([]*dtm.Runtime, clients)
 	for ci := 0; ci < clients; ci++ {
-		rts[ci] = c.Runtime(ci+1, dtm.Config{
+		rts[ci] = c.DetectorRuntime(ci+1, dtm.Config{
 			Seed:           int64(ci) + 1,
 			RequestTimeout: time.Second,
 			BackoffBase:    50 * time.Microsecond,
@@ -276,7 +275,7 @@ func TestTCPRecoveryThroughput(t *testing.T) {
 	time.Sleep(150 * time.Millisecond) // let protection leases of interrupted commits lapse
 
 	// Restart the victim cold and converge it via read sweeps.
-	if err := c.Restart(victim, true); err != nil {
+	if err := c.CrashRestart(victim); err != nil {
 		t.Fatal(err)
 	}
 	auditCtx := context.Background()

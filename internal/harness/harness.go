@@ -27,6 +27,7 @@ import (
 	"qracn/internal/trace"
 	"qracn/internal/transport"
 	"qracn/internal/unitgraph"
+	"qracn/internal/wal"
 	"qracn/internal/wire"
 	"qracn/internal/workload"
 )
@@ -244,11 +245,11 @@ type Series struct {
 	Metrics dtm.Snapshot
 	// WAL aggregates the nodes' commit-log counters (zero unless the run
 	// was durable).
-	WAL dtm.WALStats
+	WAL wal.Stats
 	// Resolution aggregates the nodes' termination-protocol counters
 	// (in-doubt votes and how each was decided; all zero on a run where no
 	// coordinator died in-doubt).
-	Resolution dtm.ResolutionStats
+	Resolution server.ResolutionStats
 	// Admission aggregates the nodes' overload-protection counters
 	// (admitted/shed/expired-on-arrival; all zero unless MaxInflight or
 	// TxDeadline was set).

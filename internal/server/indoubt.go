@@ -75,14 +75,38 @@ type resolutionCounters struct {
 // counters. InDoubt is a gauge (current table size); the rest are
 // monotonic counters.
 type ResolutionStats struct {
-	InDoubt            uint64
-	RecoveredInDoubt   uint64
+	InDoubt uint64
+	// RecoveredInDoubt counts in-doubt prepares rebuilt from the WAL.
+	RecoveredInDoubt uint64
+	// CoordinatorDecided counts overdue in-doubt transactions resolved by
+	// the coordinator's own (possibly retried) decision arriving.
 	CoordinatorDecided uint64
-	PeerCommits        uint64
-	PeerAborts         uint64
-	TTLAborts          uint64
-	StatusQueries      uint64
-	ResolveForwards    uint64
+	// PeerCommits and PeerAborts count in-doubt transactions decided on a
+	// quorum peer's authority: it saw the decision, or (abort) it never
+	// voted yes.
+	PeerCommits uint64
+	PeerAborts  uint64
+	// TTLAborts counts last-resort aborts after every reachable peer stayed
+	// in doubt for the whole resolve window.
+	TTLAborts uint64
+	// StatusQueries counts the KindTxStatus queries this node sent,
+	// ResolveForwards the KindResolve decisions it forwarded to peers still
+	// in doubt.
+	StatusQueries   uint64
+	ResolveForwards uint64
+}
+
+// Add accumulates another node's counters; the summed InDoubt is the
+// cluster-wide count, since each participant tracks only its own prepares.
+func (r *ResolutionStats) Add(o ResolutionStats) {
+	r.InDoubt += o.InDoubt
+	r.RecoveredInDoubt += o.RecoveredInDoubt
+	r.CoordinatorDecided += o.CoordinatorDecided
+	r.PeerCommits += o.PeerCommits
+	r.PeerAborts += o.PeerAborts
+	r.TTLAborts += o.TTLAborts
+	r.StatusQueries += o.StatusQueries
+	r.ResolveForwards += o.ResolveForwards
 }
 
 // ResolutionStats copies the current termination-protocol counters.

@@ -50,6 +50,30 @@ type Fault struct {
 // down-map.
 type FaultFunc func(to quorum.NodeID, req *wire.Request) Fault
 
+// injectFault applies the fault hook's outcome for one call on the caller's
+// goroutine: an injected error, a drop that waits out ctx, or a delay. A nil
+// result means the call proceeds.
+func injectFault(ctx context.Context, fault FaultFunc, to quorum.NodeID, req *wire.Request) error {
+	f := fault(to, req)
+	if f.Err != nil {
+		return f.Err
+	}
+	if f.Drop {
+		<-ctx.Done()
+		return classify(to, ErrKindTimeout, ctx.Err())
+	}
+	if f.Delay > 0 {
+		t := time.NewTimer(f.Delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
 // ChannelNetwork is an in-process "cluster": server handlers registered per
 // node ID, calls delivered synchronously after a simulated network delay,
 // and messages deep-copied at both boundaries so replicas cannot share
@@ -206,23 +230,8 @@ func (n *ChannelNetwork) Call(ctx context.Context, to quorum.NodeID, req *wire.R
 		return nil, ErrNodeDown
 	}
 	if fault != nil {
-		f := fault(to, req)
-		if f.Err != nil {
-			return nil, f.Err
-		}
-		if f.Drop {
-			<-ctx.Done()
-			return nil, classify(to, ErrKindTimeout, ctx.Err())
-		}
-		if f.Delay > 0 {
-			t := time.NewTimer(f.Delay)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			}
-			t.Stop()
+		if err := injectFault(ctx, fault, to, req); err != nil {
+			return nil, err
 		}
 	}
 	if err := n.hop(ctx); err != nil {
@@ -265,4 +274,4 @@ func (n *ChannelNetwork) Call(ctx context.Context, to quorum.NodeID, req *wire.R
 	return resp.Clone(), nil
 }
 
-var _ Client = (*ChannelNetwork)(nil)
+var _ Network = (*ChannelNetwork)(nil)

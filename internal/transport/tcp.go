@@ -264,6 +264,9 @@ type TCPClient struct {
 	addrs    map[quorum.NodeID]string
 	compress bool
 	retry    RetryPolicy
+	// net, when set, resolves node addresses and injects faults in place
+	// of addrs (a client of a TCPNetwork).
+	net *TCPNetwork
 
 	retries   atomic.Uint64
 	retrySink atomic.Pointer[atomic.Uint64]
@@ -330,6 +333,9 @@ func (c *TCPClient) getConn(to quorum.NodeID) (*tcpConn, error) {
 		return tc, nil
 	}
 	addr, ok := c.addrs[to]
+	if c.net != nil {
+		addr, ok = c.net.addr(to)
+	}
 	if !ok {
 		return nil, ErrUnknownNode
 	}
@@ -481,6 +487,13 @@ func (tc *tcpConn) roundTrip(ctx context.Context, node quorum.NodeID, req *wire.
 // Call implements Client. A dead connection is re-dialed with capped
 // exponential backoff up to the retry policy's budget before the call fails.
 func (c *TCPClient) Call(ctx context.Context, to quorum.NodeID, req *wire.Request) (*wire.Response, error) {
+	if c.net != nil {
+		if fault := c.net.faultHook(); fault != nil {
+			if err := injectFault(ctx, fault, to, req); err != nil {
+				return nil, err
+			}
+		}
+	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {

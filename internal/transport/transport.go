@@ -3,7 +3,9 @@
 // that models the paper's 1 Gbps switched cluster by injecting per-message
 // latency (used by tests, benchmarks, and the figure harness), and a real
 // TCP transport (binary frames, request multiplexing, optional compression)
-// for multi-process deployment via cmd/qracn-node.
+// for multi-process deployment via cmd/qracn-node. Both host a whole
+// cluster behind the Network interface: ChannelNetwork and TCPNetwork, the
+// latter one loopback listener per node.
 package transport
 
 import (
@@ -27,6 +29,26 @@ type Handler func(ctx context.Context, req *wire.Request) *wire.Response
 type Client interface {
 	// Call sends req to the given node and waits for its response.
 	Call(ctx context.Context, to quorum.NodeID, req *wire.Request) (*wire.Response, error)
+}
+
+// Network is a cluster interconnect: a Client that also hosts the nodes'
+// handlers. ChannelNetwork simulates it in process; TCPNetwork runs it over
+// loopback sockets. A deployment built on either behaves the same.
+type Network interface {
+	Client
+	// Register installs node id's handler, replacing any earlier one.
+	Register(id quorum.NodeID, h Handler)
+	// SetDown makes a node unreachable (true) or reachable again (false)
+	// without touching its handler: a partition, not a crash.
+	SetDown(id quorum.NodeID, down bool)
+	// SetFault installs (or, with nil, removes) a per-call fault hook that
+	// Alive does not see.
+	SetFault(f FaultFunc)
+	// Alive reports whether the node is registered and not down. It has the
+	// quorum.AliveFunc shape.
+	Alive(id quorum.NodeID) bool
+	// Close shuts the network down; later calls fail with ErrClosed.
+	Close()
 }
 
 // HandleBatch dispatches the sub-requests of a KindBatch request through h

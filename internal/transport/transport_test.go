@@ -350,3 +350,53 @@ func TestTCPLargeCompressedPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPNetwork pins the loopback Network: SetDown refuses dials and
+// SetDown(false) serves again on the same address, Register swaps the
+// handler behind the running listener, the fault hook runs before the
+// socket, and Close fails later calls.
+func TestTCPNetwork(t *testing.T) {
+	n := NewTCPNetwork()
+	defer n.Close()
+	n.Register(0, echoHandler)
+	ctx := context.Background()
+	ping := &wire.Request{Kind: wire.KindPing, TxID: "hi"}
+	if resp, err := n.Call(ctx, 0, ping); err != nil || resp.Detail != "hi" {
+		t.Fatalf("call: %+v, %v", resp, err)
+	}
+	if _, err := n.Call(ctx, 9, ping); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("unregistered node: err = %v, want ErrUnknownNode", err)
+	}
+
+	addr, _ := n.addr(0)
+	n.SetDown(0, true)
+	if n.Alive(0) {
+		t.Fatal("Alive(0) after SetDown")
+	}
+	if _, err := n.Call(ctx, 0, ping); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("down node: err = %v, want ErrNodeDown", err)
+	}
+	n.SetDown(0, false)
+	if again, _ := n.addr(0); !n.Alive(0) || again != addr {
+		t.Fatalf("revived on %q (alive %v), want %q", again, n.Alive(0), addr)
+	}
+
+	n.Register(0, func(context.Context, *wire.Request) *wire.Response {
+		return &wire.Response{Status: wire.StatusOK, Detail: "swapped"}
+	})
+	if resp, err := n.Call(ctx, 0, ping); err != nil || resp.Detail != "swapped" {
+		t.Fatalf("after Register swap: %+v, %v", resp, err)
+	}
+
+	injected := errors.New("injected")
+	n.SetFault(func(quorum.NodeID, *wire.Request) Fault { return Fault{Err: injected} })
+	if _, err := n.NewClient().Call(ctx, 0, ping); !errors.Is(err, injected) {
+		t.Fatalf("fault hook: err = %v, want the injected error", err)
+	}
+	n.SetFault(nil)
+
+	n.Close()
+	if _, err := n.Call(ctx, 0, ping); !errors.Is(err, ErrClosed) {
+		t.Fatalf("after Close: err = %v, want ErrClosed", err)
+	}
+}

@@ -77,6 +77,20 @@ type Stats struct {
 	TornTailTruncated bool
 }
 
+// Add accumulates another log's counters: MaxBatch merges by maximum and
+// TornTailTruncated by OR.
+func (s *Stats) Add(o Stats) {
+	s.Appends += o.Appends
+	s.Records += o.Records
+	s.Fsyncs += o.Fsyncs
+	s.MaxBatch = max(s.MaxBatch, o.MaxBatch)
+	s.Snapshots += o.Snapshots
+	s.SegmentsRemoved += o.SegmentsRemoved
+	s.ReplayedRecords += o.ReplayedRecords
+	s.ReplayedSnapshot += o.ReplayedSnapshot
+	s.TornTailTruncated = s.TornTailTruncated || o.TornTailTruncated
+}
+
 // Recovered is the object state reconstructed by Open.
 type Recovered struct {
 	// Objects holds the recovered value+version per object (NewVersion is

@@ -10,7 +10,8 @@
 //
 //   - express flat transactions in the transaction IR (NewProgram),
 //   - run the static module over them (Analyze),
-//   - deploy an in-process cluster (NewCluster) or connect to a TCP one,
+//   - deploy a cluster (NewCluster) on the simulated network or, with
+//     ClusterConfig.TCP, over loopback TCP, or connect to a TCP one,
 //   - execute transactions flat (QR-DTM), with a manual decomposition
 //     (QR-CN), or under automatic adaptive decomposition (QR-ACN) via
 //     NewExecutor + NewController, and
@@ -107,7 +108,8 @@ type (
 
 // Cluster deployment.
 type (
-	// Cluster is an in-process deployment of quorum nodes.
+	// Cluster is a deployment of quorum nodes on the simulated network or,
+	// with ClusterConfig.TCP, over loopback TCP.
 	Cluster = cluster.Cluster
 	// ClusterConfig sizes a Cluster.
 	ClusterConfig = cluster.Config
@@ -117,7 +119,7 @@ type (
 	NodeID = quorum.NodeID
 )
 
-// NewCluster deploys an in-process cluster.
+// NewCluster deploys a cluster.
 func NewCluster(cfg ClusterConfig) *Cluster { return cluster.New(cfg) }
 
 // ACN: compositions, executor engine, algorithm module, controller.
